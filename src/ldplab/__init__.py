@@ -14,10 +14,10 @@ from .conjugate import (GridFunction, MoscoReport, biconjugate,
                         fenchel_young_check, lft, lft_at, lft_brute,
                         mosco_m1_check, mosco_m2_check, order_reversal_check,
                         read_grid_csv, uniform_properness_check,
-                        uniform_grid, write_grid_csv)
+                        write_grid_csv)
 from .convexsets import BallShape, BoxShape, ConvexNbhd, gauge
 from .entropy import (EntropyEstimate, chebyshev_upper_check, concavity_check,
-                      entropy_estimate, random_convex_event, sample_mean,
+                      entropy_estimate, random_convex_event,
                       subadditive_lemma_check)
 from .errors import (BudgetExceededError, ConfigError, ConvergenceError,
                      ImproperFunctionError, LdpLabError, ModelError)
@@ -31,7 +31,7 @@ from .lattice import Box, Tiling, box_distance, make_box, rho_limit_check, tile
 from .models import (AffineImageField, BlockField, DecouplingParams,
                      FieldModel, FiniteLaw, IIDField, LocalControlParams,
                      MarkovField, ParamTable, ValueSpace, affine_image,
-                     conditioned, iid_field, markov_field, mean_law_exact,
+                     conditioned, iid_field, markov_field,
                      product_of_marginals, sample, scalarize)
 from .pressure import (PressureCurve, block_pressure_identity_check,
                        compute_pressure_curve, pressure_finite,

@@ -321,7 +321,7 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
@@ -329,7 +329,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def config_from_string(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:

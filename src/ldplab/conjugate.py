@@ -28,12 +28,6 @@ from .reports import VerificationReport, combine_status
 INF = math.inf
 
 
-def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    if points < 2 or not hi > lo:
-        raise ValueError("grid needs at least 2 points and hi > lo")
-    return np.linspace(lo, hi, points)
-
-
 def _check_axis(grid: np.ndarray, label: str):
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError(f"{label} must be a 1-D grid with >= 2 points")
@@ -94,11 +88,6 @@ class GridFunction:
                 if np.isfinite(v[i]) and np.isfinite(v[i + 1]):
                     best = max(best, abs(v[i + 1] - v[i]) / h)
         return best
-
-    @classmethod
-    def from_callable(cls, fn, grid, name: str = "") -> "GridFunction":
-        g = np.asarray(grid, dtype=float)
-        return cls((g,), np.array([fn(x) for x in g]), name)
 
 
 def _lower_hull(xs: np.ndarray, ys: np.ndarray):

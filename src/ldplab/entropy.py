@@ -15,7 +15,7 @@ import numpy as np
 
 from .convexsets import BallShape, BoxShape, ConvexNbhd, gauge
 from .lattice import tile
-from .models import FieldModel, sample
+from .models import FieldModel
 from .numerics import NEG_INF, logsumexp
 from .pressure import pressure_finite
 from .reports import VerificationReport
@@ -289,13 +289,3 @@ def random_convex_event(rng, k: int, *, center_scale: float = 1.2,
         shape = BallShape(float(rng.uniform(min_radius, max_radius)), k)
     return ConvexNbhd(center, shape)
 
-
-def sample_mean(model: FieldModel, n: int, seed) -> np.ndarray:
-    """One sampled empirical mean over the side-n box anchored at 0."""
-    from .lattice import make_box
-    box = make_box((0,) * model.dim, n, model.dim)
-    config = sample(model, box, seed)
-    total = np.zeros(model.k)
-    for idx in config.values():
-        total += model.atoms[idx]
-    return total / box.size

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import FieldModel, LocalControlParams, MarkovField
+from .models import (FieldModel, LocalControlParams, MarkovField,
+                     _stationary_distribution)
 from .numerics import NEG_INF
 from .reports import VerificationReport
 
@@ -158,7 +159,7 @@ class ChainDecouplingCertificate:
 def doeblin_decoupling_certificate(model: MarkovField, gap: float = 1.0,
                                    max_gap: int = 12) -> ChainDecouplingCertificate:
     P = model.transition
-    pi = _stationary(model)
+    pi = _stationary_distribution(P)
     kappa = {}
     Ph = np.linalg.matrix_power(P, int(gap) + 1)
     for h in range(int(gap) + 1, max_gap + 1):
@@ -171,19 +172,6 @@ def doeblin_decoupling_certificate(model: MarkovField, gap: float = 1.0,
         cost_default=-2.0 * math.log(model.doeblin_delta),
         kappa_by_gap=kappa,
     )
-
-
-def _stationary(model: MarkovField) -> np.ndarray:
-    if model.stationary_start:
-        return model.start
-    P = model.transition
-    A = P.shape[0]
-    M = np.vstack([P.T - np.eye(A), np.ones((1, A))])
-    b = np.zeros(A + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(M, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
 
 
 def doeblin_local_alpha(model: MarkovField, shape, t: float,
@@ -202,7 +190,7 @@ def doeblin_local_alpha(model: MarkovField, shape, t: float,
     if not T:
         return 0.0
     P = model.transition
-    pi = _stationary(model)
+    pi = _stationary_distribution(P)
     powers = [np.eye(P.shape[0])]
     for _ in range(2 * max_gap):
         powers.append(powers[-1] @ P)

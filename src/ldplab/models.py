@@ -20,6 +20,20 @@ BlockField realizes both the plain block-product construction and its
 conditioned variant (keep=None vs an atom index subset).  Block models and
 Markov chains are implemented for lattice dimension 1; IID models (and their
 affine images) also support d = 2.
+
+Sum laws
+--------
+Every exact sum law comes from one recurrence, the tilted transfer
+recurrence of Dembo & Zeitouni (Large Deviations Techniques and
+Applications, 3.1) at zero tilt: a dense log-mass array over (sum lattice x
+chain state) is advanced one site at a time by shifting each atom's slice by
+the atom's key and combining with logaddexp.  The sum lattice is compressed
+by the gcd of the atom-key differences per coordinate.  Each kind only
+states its transfer data: IID sites (and IID-based blocks) restart from the
+atom weights at every site and keep no state; a chain restarts from its
+start law once; chain-based blocks restart every block.  Affine images map
+their base law's keys exactly.  The budget rule lives in the recurrence:
+the stored (sum, state) entries may not exceed ``budget``.
 """
 
 import math
@@ -106,10 +120,19 @@ class LocalControlParams:
 # value space
 
 
+def _to_fraction(a) -> Fraction:
+    """Exact atom coordinate.  A float reads as its shortest decimal form,
+    as a config value does: 0.1 is 1/10, not the nearest binary fraction,
+    whose denominator 2^55 would make the sum lattice too wide to store."""
+    if isinstance(a, (float, np.floating)):
+        return Fraction(str(float(a)))
+    return Fraction(a)
+
+
 def _to_fraction_point(atom, k: int):
     if np.isscalar(atom):
         atom = (atom,)
-    pt = tuple(Fraction(a) if not isinstance(a, Fraction) else a for a in atom)
+    pt = tuple(_to_fraction(a) for a in atom)
     if len(pt) != k:
         raise ValueError(f"atom {atom} does not have dimension {k}")
     return pt
@@ -146,7 +169,7 @@ class ValueSpace:
 
 
 # ---------------------------------------------------------------------------
-# exact sum laws (log-space dict arithmetic on scaled integer keys)
+# exact sum laws (log masses on scaled integer keys)
 
 
 @dataclass(frozen=True)
@@ -166,45 +189,9 @@ class FiniteLaw:
             raise ValueError("empty box has no empirical mean")
         return self.sums() / self.count
 
-    def mean_fracs(self):
-        d = self.den * self.count
-        return [tuple(Fraction(x, d) for x in key) for key in self.keys]
-
     def total(self) -> float:
         """logsumexp of all masses; 0 up to float accumulation."""
         return logsumexp(self.logp)
-
-
-def _law_from_dict(d: dict, den: int, count: int) -> FiniteLaw:
-    keys = tuple(sorted(d.keys()))
-    return FiniteLaw(keys, den, np.array([d[k] for k in keys]), count)
-
-
-def _convolve(a: dict, b: dict, budget: int) -> dict:
-    out = {}
-    for ka, la in a.items():
-        for kb, lb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            s = la + lb
-            prev = out.get(key)
-            out[key] = s if prev is None else logadd(prev, s)
-        if len(out) > budget:
-            raise BudgetExceededError(
-                f"sum-law support exceeded budget {budget}")
-    return out
-
-
-def _pow_convolve(base: dict, q: int, zero_key, budget: int) -> dict:
-    """q-fold convolution power by binary exponentiation."""
-    result = {zero_key: 0.0}
-    sq = base
-    while q:
-        if q & 1:
-            result = _convolve(result, sq, budget)
-        q >>= 1
-        if q:
-            sq = _convolve(sq, sq, budget)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +218,7 @@ class FieldModel:
         self.den = math.lcm(*dens) if dens else 1
         self.atom_keys = tuple(
             tuple(int(f * self.den) for f in p) for p in space.points)
-        self._zero_key = (0,) * space.k
+        self._laws = {}
 
     @property
     def k(self) -> int:
@@ -250,11 +237,6 @@ class FieldModel:
             i for i in self.support_indices()
             if gauge(shape, self.atoms[i]) < t)
 
-    def allowed_in_nbhd(self, nbhd):
-        return frozenset(
-            i for i in self.support_indices()
-            if nbhd.contains(self.atoms[i]))
-
     # interface implemented by subclasses
     def cylinder_log_prob(self, constraints) -> float:
         raise NotImplementedError
@@ -264,6 +246,68 @@ class FieldModel:
 
     def sample_box(self, box: Box, rng) -> dict:
         raise NotImplementedError
+
+    def _memo(self, n: int, build) -> FiniteLaw:
+        """The per-n sum-law cache every kind shares; build() on a miss."""
+        if n < 1:
+            raise ValueError("volume side must be positive")
+        law = self._laws.get(n)
+        if law is None:
+            law = self._laws[n] = build()
+        return law
+
+    def _transfer_law(self, count: int, keys, start, log_T=None,
+                      period: int = 1, tail=None, shift: float = 0.0):
+        """Exact law of the sum of ``count`` sites, by the transfer recurrence.
+
+        ``keys`` are the integer keys of the atoms that can occur, in the
+        order of the columns of ``start`` (log weights) and of the square
+        ``log_T`` (log transition weights).  Sites t with t % period == 0
+        restart: the chain state is summed out and ``start`` applied; the
+        other sites apply ``log_T``.  With period 1 no chain state is kept.
+        ``tail`` (log weights of the last state) is added at the end, the
+        states are summed out, and ``shift`` is subtracted from every mass.
+        Position i of the dense array stands for the key t*lo + step*i after
+        t sites, per coordinate.  Sums of zero mass are not in the support.
+        A step whose array would hold more than ``budget`` (sum, state)
+        entries raises BudgetExceededError before it allocates.
+        """
+        k = len(keys[0])
+        lo = [min(key[c] for key in keys) for c in range(k)]
+        step = [math.gcd(*(key[c] - lo[c] for key in keys)) or 1
+                for c in range(k)]
+        offsets = [tuple((key[c] - lo[c]) // step[c] for c in range(k))
+                   for key in keys]
+        reach = [max(off[c] for off in offsets) for c in range(k)]
+        states = 1 if period == 1 else len(keys)
+        mass = np.zeros((1,) * k + (1,))      # sum 0 with probability one
+        for t in range(count):
+            shape = tuple((t + 1) * r + 1 for r in reach)
+            if math.prod(shape) * states > self.budget:
+                raise BudgetExceededError(
+                    f"sum law over {count} sites needs {math.prod(shape)} x "
+                    f"{states} entries at site {t + 1}, over budget "
+                    f"{self.budget}")
+            if t % period == 0:
+                emit = np.logaddexp.reduce(mass, axis=-1)[..., None] + start
+            else:
+                emit = np.logaddexp.reduce(mass[..., None] + log_T, axis=-2)
+            new = np.full(shape + (states,), NEG_INF)
+            for b, off in enumerate(offsets):
+                cell = new[tuple(slice(o, o + m)
+                                 for o, m in zip(off, mass.shape))]
+                if states == 1:
+                    np.logaddexp(cell[..., 0], emit[..., b], out=cell[..., 0])
+                else:
+                    cell[..., b] = emit[..., b]
+            mass = new
+        if tail is not None:
+            mass = mass + tail
+        total = np.logaddexp.reduce(mass, axis=-1) - shift
+        support = total > NEG_INF
+        sums = tuple(tuple(count * l + g * i for l, g, i in zip(lo, step, pos))
+                     for pos in np.argwhere(support).tolist())
+        return FiniteLaw(sums, self.den, total[support], count)
 
     def local_control_certificate(self, shape) -> LocalControlParams:
         """Covering certificate: t just above the largest atom gauge, alpha 1.
@@ -307,7 +351,6 @@ class IIDField(FieldModel):
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         self.weights = w / w.sum()
         self.log_w = np.log(self.weights)
-        self._law_cache = {}
 
     def cylinder_log_prob(self, constraints) -> float:
         total = 0.0
@@ -316,27 +359,9 @@ class IIDField(FieldModel):
             total += logsumexp(self.log_w[sorted(allowed)])
         return total
 
-    def _site_dict(self) -> dict:
-        return {key: lw for key, lw in zip(self.atom_keys, self.log_w)}
-
-    def _sum_dict(self, count: int) -> dict:
-        if count in self._law_cache:
-            return self._law_cache[count]
-        done = [c for c in self._law_cache if c < count]
-        if done:
-            start = max(done)
-            current = self._law_cache[start]
-        else:
-            start, current = 0, {self._zero_key: 0.0}
-        site = self._site_dict()
-        for c in range(start + 1, count + 1):
-            current = _convolve(current, site, self.budget)
-            self._law_cache[c] = current
-        return current
-
     def sum_law(self, n: int) -> FiniteLaw:
-        count = n ** self.dim
-        return _law_from_dict(self._sum_dict(count), self.den, count)
+        return self._memo(n, lambda: self._transfer_law(
+            n ** self.dim, self.atom_keys, self.log_w))
 
     def sample_box(self, box: Box, rng) -> dict:
         sites = box.sites()
@@ -399,8 +424,6 @@ class MarkovField(FieldModel):
         with np.errstate(divide="ignore"):
             self.log_T = np.log(self.transition)
             self.log_start = np.log(self.start)
-        self._law_cache = {}
-        self._dp_snapshots = {}
 
     def _log_matvec(self, v: np.ndarray) -> np.ndarray:
         """One chain step in log space: v'(b) = logsumexp_a v(a) + log P(a,b)."""
@@ -425,51 +448,10 @@ class MarkovField(FieldModel):
             prev = site
         return logsumexp(v)
 
-    def _dp_step(self, dp: dict) -> dict:
-        new = {}
-        A = self.n_atoms
-        for key, vec in dp.items():
-            contrib = logsumexp(vec[:, None] + self.log_T, axis=0)
-            for b in range(A):
-                k2 = tuple(x + y for x, y in zip(key, self.atom_keys[b]))
-                arr = new.get(k2)
-                if arr is None:
-                    arr = np.full(A, NEG_INF)
-                    new[k2] = arr
-                arr[b] = logadd(arr[b], contrib[b])
-        if len(new) * A > self.budget:
-            raise BudgetExceededError(
-                f"chain sum-law state space exceeded budget {self.budget}")
-        return new
-
     def sum_law(self, n: int) -> FiniteLaw:
-        if n < 1:
-            raise ValueError("volume side must be positive")
-        if n in self._law_cache:
-            return self._law_cache[n]
-        done = [i for i in self._dp_snapshots if i <= n]
-        if done:
-            i = max(done)
-            dp = self._dp_snapshots[i]
-        else:
-            i = 1
-            dp = {}
-            for a, key in enumerate(self.atom_keys):
-                vec = np.full(self.n_atoms, NEG_INF)
-                vec[a] = self.log_start[a]
-                prev = dp.get(key)
-                if prev is None:
-                    dp[key] = vec
-                else:  # unreachable for distinct atoms; kept for safety
-                    dp[key] = np.logaddexp(prev, vec)
-        while i < n:
-            dp = self._dp_step(dp)
-            i += 1
-        self._dp_snapshots[n] = dp
-        law = _law_from_dict({k: logsumexp(v) for k, v in dp.items()},
-                             self.den, n)
-        self._law_cache[n] = law
-        return law
+        # one restart from the start law: the box is a single block
+        return self._memo(n, lambda: self._transfer_law(
+            n, self.atom_keys, self.log_start, self.log_T, period=n))
 
     def sample_box(self, box: Box, rng) -> dict:
         sites = box.sites()
@@ -528,9 +510,6 @@ class BlockField(FieldModel):
         self.log_mass = self._block_mass()
         if self.log_mass == NEG_INF:
             raise ModelError("conditioning event has zero mass")
-        self._law_cache = {}
-        self._block_law = None
-        self._prefix_cache = {}
 
     def support_indices(self):
         return tuple(self._keep_list)
@@ -591,85 +570,25 @@ class BlockField(FieldModel):
         return sum(self.block_cylinder_log_prob(c)
                    for _, c in sorted(per_block.items()))
 
-    def _block_sum_dict(self) -> dict:
-        if self._block_law is not None:
-            return self._block_law
-        if isinstance(self.base, IIDField):
-            nu = logsumexp(self.base.log_w[self._keep_list])
-            site = {self.atom_keys[i]: self.base.log_w[i] - nu
-                    for i in self._keep_list}
-            law = _pow_convolve(site, self.block, self._zero_key, self.budget)
-        else:
-            law = self._markov_masked_sum(self.block, weight_tail=False)
-        self._block_law = law
-        return law
-
-    def _markov_masked_sum(self, s: int, weight_tail: bool) -> dict:
-        """Sum law of the first s block positions under the conditioning.
-
-        weight_tail adds the probability that the remaining block positions
-        stay in the keep set, i.e. produces the conditioned prefix marginal.
-        With s == block the tail is empty and this is the block sum law.
-        """
-        base = self.base
-        A = self.n_atoms
-        keep = self._keep_list
-        dp = {}
-        for a in keep:
-            vec = dp.setdefault(self.atom_keys[a], np.full(A, NEG_INF))
-            vec[a] = base.log_start[a]
-        for _ in range(s - 1):
-            new = {}
-            for key, vec in dp.items():
-                contrib = logsumexp(vec[:, None] + base.log_T, axis=0)
-                for b in keep:
-                    k2 = tuple(x + y for x, y in zip(key, self.atom_keys[b]))
-                    arr = new.get(k2)
-                    if arr is None:
-                        arr = np.full(A, NEG_INF)
-                        new[k2] = arr
-                    arr[b] = logadd(arr[b], contrib[b])
-            if len(new) * A > self.budget:
-                raise BudgetExceededError("block law exceeded budget")
-            dp = new
-        log_tail = np.zeros(A)
-        if weight_tail:
-            keep_cols = np.full((A, A), NEG_INF)
-            keep_cols[:, keep] = base.log_T[:, keep]
-            for _ in range(self.block - s):
-                log_tail = logsumexp(keep_cols + log_tail[None, :], axis=1)
-        out = {}
-        for key, vec in dp.items():
-            out[key] = logsumexp(vec + log_tail) - self.log_mass
-        return out
-
-    def _prefix_dict(self, s: int) -> dict:
-        if s == 0:
-            return {self._zero_key: 0.0}
-        if s in self._prefix_cache:
-            return self._prefix_cache[s]
-        if isinstance(self.base, IIDField):
-            nu = logsumexp(self.base.log_w[self._keep_list])
-            site = {self.atom_keys[i]: self.base.log_w[i] - nu
-                    for i in self._keep_list}
-            law = _pow_convolve(site, s, self._zero_key, self.budget)
-        else:
-            law = self._markov_masked_sum(s, weight_tail=True)
-        self._prefix_cache[s] = law
-        return law
-
     def sum_law(self, n: int) -> FiniteLaw:
-        if n < 1:
-            raise ValueError("volume side must be positive")
-        if n in self._law_cache:
-            return self._law_cache[n]
-        q, s = divmod(n, self.block)
-        law = _pow_convolve(self._block_sum_dict(), q, self._zero_key,
-                            self.budget)
-        law = _convolve(law, self._prefix_dict(s), self.budget)
-        out = _law_from_dict(law, self.den, n)
-        self._law_cache[n] = out
-        return out
+        def build():
+            keep = self._keep_list
+            keys = [self.atom_keys[i] for i in keep]
+            if isinstance(self.base, IIDField):
+                log_w = self.base.log_w[keep]
+                return self._transfer_law(n, keys, log_w - logsumexp(log_w))
+            log_T = self.base.log_T[np.ix_(keep, keep)]
+            # a partial last block of s sites is weighted by the probability
+            # that its remaining block - s sites stay in the keep set
+            s = n % self.block
+            tail = np.zeros(len(keep)) if s else None
+            for _ in range(self.block - s if s else 0):
+                tail = logsumexp(log_T + tail[None, :], axis=1)
+            blocks = -(-n // self.block)
+            return self._transfer_law(
+                n, keys, self.base.log_start[keep], log_T, period=self.block,
+                tail=tail, shift=blocks * self.log_mass)
+        return self._memo(n, build)
 
     def block_log_mgf(self, lam) -> float:
         """log E[exp<lam, block sum>] for one conditioned block."""
@@ -768,32 +687,21 @@ class AffineImageField(FieldModel):
                 sum(self._A_frac[i][j] * p[j] for j in range(base.k))
                 - self._y0_frac[i] for i in range(k_new)))
         labels = tuple(f"f({lab})" for lab in base.space.labels)
-        space = ValueSpace(tuple(new_points), labels)  # duplicates allowed here
         self.base = base
         self.matrix = A
         self.offset = y0
-        # bypass ValueSpace distinctness: build fields directly
-        self.space = space
-        self.dim = base.dim
-        self.invariance_step = base.invariance_step
-        self.decoupling = base.decoupling
-        self.budget = base.budget
-        self.atoms = np.array([[float(c) for c in p] for p in new_points])
-        self.atom_fracs = tuple(new_points)
-        dens = [f.denominator for p in new_points for f in p]
-        dens += [f.denominator for f in self._y0_frac]
-        self.den = math.lcm(*dens)
-        self.atom_keys = tuple(tuple(int(f * self.den) for f in p)
-                               for p in new_points)
-        self._zero_key = (0,) * k_new
+        # image atoms may collide, so the space skips the distinctness check
+        super().__init__(ValueSpace(tuple(new_points), labels), base.dim,
+                         base.invariance_step, base.decoupling, base.budget)
 
     @property
-    def k(self) -> int:
-        return len(self._y0_frac)
+    def budget(self) -> int:
+        """The base's budget: the base runs the recurrence this law maps."""
+        return self.base.budget
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.atom_fracs)
+    @budget.setter
+    def budget(self, value: int):
+        self.base.budget = value
 
     def support_indices(self):
         return self.base.support_indices()
@@ -802,22 +710,27 @@ class AffineImageField(FieldModel):
         return self.base.cylinder_log_prob(constraints)
 
     def sum_law(self, n: int) -> FiniteLaw:
-        base_law = self.base.sum_law(n)
-        count = base_law.count
-        out = {}
-        bden = base_law.den
-        for key, lp in zip(base_law.keys, base_law.logp):
-            s = [Fraction(x, bden) for x in key]
-            img = tuple(
-                sum(self._A_frac[i][j] * s[j] for j in range(self.base.k))
-                - count * self._y0_frac[i] for i in range(self.k))
-            ikey = tuple(int(f * self.den) for f in img)
-            for f, x in zip(img, ikey):
-                if f * self.den != x:
-                    raise AssertionError("affine image key not integral")
-            prev = out.get(ikey)
-            out[ikey] = float(lp) if prev is None else logadd(prev, float(lp))
-        return _law_from_dict(out, self.den, count)
+        def build():
+            base_law = self.base.sum_law(n)
+            count = base_law.count
+            out = {}
+            bden = base_law.den
+            for key, lp in zip(base_law.keys, base_law.logp):
+                s = [Fraction(x, bden) for x in key]
+                img = tuple(
+                    sum(self._A_frac[i][j] * s[j] for j in range(self.base.k))
+                    - count * self._y0_frac[i] for i in range(self.k))
+                ikey = tuple(int(f * self.den) for f in img)
+                for f, x in zip(img, ikey):
+                    if f * self.den != x:
+                        raise AssertionError("affine image key not integral")
+                prev = out.get(ikey)
+                out[ikey] = (float(lp) if prev is None
+                             else logadd(prev, float(lp)))
+            keys = tuple(sorted(out))
+            return FiniteLaw(keys, self.den, np.array([out[k] for k in keys]),
+                             count)
+        return self._memo(n, build)
 
     def sample_box(self, box: Box, rng) -> dict:
         return self.base.sample_box(box, rng)
@@ -873,16 +786,6 @@ def scalarize(model: FieldModel, lam) -> FieldModel:
     if model.k == 1 and lam.shape == (1,) and lam[0] == 1.0:
         return model
     return AffineImageField(model, lam.reshape(1, -1))
-
-
-def mean_law_exact(model: FieldModel, n: int) -> FiniteLaw:
-    """Exact law of the empirical mean over the side-n box (as a sum law).
-
-    The returned FiniteLaw carries the sum support; use .means() for the
-    empirical-mean support points.  Raises BudgetExceededError when the
-    dynamic program grows past the model budget.
-    """
-    return model.sum_law(n)
 
 
 def sample(model: FieldModel, box: Box, seed) -> dict:

@@ -2,9 +2,10 @@
 
 Everything here is built from first principles with stdlib arithmetic:
 binomial and multinomial coefficients, explicit path enumeration, exact
-Fraction bookkeeping, closed-form eigenvalues.  None of it shares code with
-the package's convolution, dynamic-programming, or hull machinery, so an
-agreement between the two is evidence, not tautology.
+Fraction bookkeeping, closed-form eigenvalues, and dict-keyed dynamic
+programs for sum laws.  None of it shares code with the package's transfer
+recurrence or hull machinery, so an agreement between the two is evidence,
+not tautology.
 
 Window membership deliberately mirrors the package's float predicate
 (|delta| / radius < 1) so that boundary atoms land on the same side in both
@@ -127,6 +128,122 @@ def tilted_chain_pressure(P, atoms, lam: float) -> float:
     M = [[P[a][b] * math.exp(lam * atoms[b]) for b in range(2)]
          for a in range(2)]
     return math.log(perron_root_2x2(M))
+
+
+# ---------------------------------------------------------------------------
+# sum laws by dict dynamic programs (large-n reference)
+#
+# Sparse {integer key tuple: log mass} laws, advanced by scalar log-adds one
+# key at a time; they read only a model's plain parameters (atom keys, log
+# weights, transition, start, block, keep set, affine map).  Chain states
+# ride along as per-key numpy vectors.  Keys every path reaches with zero
+# mass stay in these dicts with mass -inf.
+
+
+def _logadd(a, b):
+    if a < b:
+        a, b = b, a
+    if b == -math.inf:
+        return a
+    return a + math.log1p(math.exp(b - a))
+
+
+def _lse(v, axis=None):
+    v = np.asarray(v, dtype=float)
+    m = np.max(v, axis=axis, keepdims=True)
+    safe = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(v - safe), axis=axis, keepdims=True)) + safe
+    out = np.where(np.isfinite(m), out, m)
+    return float(out.item()) if axis is None else np.squeeze(out, axis=axis)
+
+
+def dict_convolve(a: dict, b: dict) -> dict:
+    out = {}
+    for ka, la in a.items():
+        for kb, lb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            s = la + lb
+            prev = out.get(key)
+            out[key] = s if prev is None else _logadd(prev, s)
+    return out
+
+
+def dict_power(site: dict, q: int) -> dict:
+    law = {(0,) * len(next(iter(site))): 0.0}
+    for _ in range(q):
+        law = dict_convolve(law, site)
+    return law
+
+
+def dict_chain_paths(keys, log_start, log_T, states, s: int) -> dict:
+    """{key: per-last-state log masses} over chain paths of s sites that
+    only visit ``states``."""
+    A = len(keys)
+    dp = {}
+    for a in states:
+        vec = dp.setdefault(keys[a], np.full(A, -math.inf))
+        vec[a] = log_start[a]
+    for _ in range(s - 1):
+        new = {}
+        for key, vec in dp.items():
+            contrib = _lse(vec[:, None] + log_T, axis=0)
+            for b in states:
+                k2 = tuple(x + y for x, y in zip(key, keys[b]))
+                arr = new.setdefault(k2, np.full(A, -math.inf))
+                arr[b] = _logadd(arr[b], contrib[b])
+        dp = new
+    return dp
+
+
+def dict_sum_law(model, n: int) -> dict:
+    """{integer key tuple: log mass} of the side-n box sum of ``model``."""
+    if model.kind == "iid":
+        site = dict(zip(model.atom_keys, model.log_w))
+        return dict_power(site, n ** model.dim)
+    if model.kind == "markov":
+        dp = dict_chain_paths(model.atom_keys, model.log_start, model.log_T,
+                              range(model.n_atoms), n)
+        return {key: _lse(vec) for key, vec in dp.items()}
+    if model.kind == "block":
+        base, keep, j = model.base, model.support_indices(), model.block
+        q, s = divmod(n, j)
+        if base.kind == "iid":
+            nu = _lse(base.log_w[list(keep)])
+            site = {model.atom_keys[i]: base.log_w[i] - nu for i in keep}
+            return dict_power(site, n)
+        A = model.n_atoms
+        keep_cols = np.full((A, A), -math.inf)
+        keep_cols[:, keep] = base.log_T[:, keep]
+        law = {(0,): 0.0}
+        for sites, count in ((j, q), (s, 1 if s else 0)):
+            tail = np.zeros(A)
+            for _ in range(j - sites):
+                tail = _lse(keep_cols + tail[None, :], axis=1)
+            dp = dict_chain_paths(model.atom_keys, base.log_start, base.log_T,
+                                  keep, sites) if count else {}
+            part = {key: _lse(vec + tail) - model.log_mass
+                    for key, vec in dp.items()}
+            for _ in range(count):
+                law = dict_convolve(law, part)
+        return law
+    if model.kind == "affine":
+        base = model.base
+        base_law = dict_sum_law(base, n)
+        count = n ** base.dim
+        A = [[Fraction(x) for x in row] for row in model.matrix]
+        y0 = [Fraction(v) for v in model.offset]
+        out = {}
+        for key, lp in base_law.items():
+            s = [Fraction(x, base.den) for x in key]
+            img = [sum(a * x for a, x in zip(row, s)) - count * y
+                   for row, y in zip(A, y0)]
+            assert all((f * model.den).denominator == 1 for f in img)
+            ikey = tuple(int(f * model.den) for f in img)
+            prev = out.get(ikey)
+            out[ikey] = lp if prev is None else _logadd(prev, lp)
+        return out
+    raise ValueError(f"no dict oracle for kind {model.kind!r}")
 
 
 # ---------------------------------------------------------------------------

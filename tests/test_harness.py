@@ -127,6 +127,17 @@ def test_model_kinds_from_config():
         assert config_from_string(text).build_model().describe() == described
 
 
+def test_semicolon_separates_rows_and_hash_starts_comments():
+    chain = config_from_string(
+        "[model]\nkind = markov\natoms = -1, 1\n"
+        "transition = 0.7, 0.3 ; 0.4, 0.6  # two rows\n").build_model()
+    assert chain.transition.tolist() == [[0.7, 0.3], [0.4, 0.6]]
+    planar = config_from_string(
+        "[model]\nkind = iid\natoms = (0, 0) ; (1, 0)  # planar\n"
+        ).build_model()
+    assert planar.atoms.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("[model]\nkind = warp\n", "[model] kind"),
     ("[model]\nkind = conditioned\natoms = -1, 1\nblock = 2\nkeep = 5\n",
@@ -362,6 +373,18 @@ def test_cli_budget_exhaustion_is_inconclusive(tmp_path):
     code, _, err = run_cli(["entropy", "--config", path])
     assert code == 2
     assert "inconclusive" in err
+
+
+def test_cli_budget_holds_under_scale(tmp_path):
+    path = write_mini(tmp_path)
+    text = (tmp_path / "mini.ini").read_text().replace(
+        "atoms = -1, 1",
+        "atoms = -1, 0, 1\nbudget = 10\nscale = 2.0", 1).replace(
+        "n_list = 20, 40", "n_list = 6", 1)
+    (tmp_path / "mini.ini").write_text(text)
+    code, _, err = run_cli(["pressure", "--config", path])
+    assert code == 2
+    assert "budget 10" in err
 
 
 def test_cli_improper_input_fails(tmp_path):

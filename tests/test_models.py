@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from ldplab import (BudgetExceededError, ValueSpace, affine_image,
                     conditioned, iid_field, make_box, markov_field,
-                    mean_law_exact, product_of_marginals, sample, scalarize)
+                    product_of_marginals, sample, scalarize)
 
 from conftest import DOEBLIN_P, fresh_biased3, fresh_doeblin, fresh_rademacher
-from oracles import (conditioned_box_sum_law, iid_sum_law, markov_path_law,
-                     multinomial_three_atom_law, rademacher_sum_law,
-                     stationary_2x2)
+from oracles import (conditioned_box_sum_law, dict_sum_law, iid_sum_law,
+                     markov_path_law, multinomial_three_atom_law,
+                     rademacher_sum_law, stationary_2x2)
 
 
 def law_as_dict(law):
@@ -28,7 +28,7 @@ def law_as_dict(law):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40, 100])
 def test_rademacher_sum_law_matches_binomial(rademacher, n):
-    law = mean_law_exact(rademacher, n)
+    law = rademacher.sum_law(n)
     want = rademacher_sum_law(n)
     got = law_as_dict(law)
     assert set(got) == set(want)
@@ -39,7 +39,7 @@ def test_rademacher_sum_law_matches_binomial(rademacher, n):
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_three_atom_law_matches_multinomial(biased3, n):
-    law = mean_law_exact(biased3, n)
+    law = biased3.sum_law(n)
     want = multinomial_three_atom_law(
         Fraction(1, 5), Fraction(3, 10), Fraction(1, 2), n)
     got = law_as_dict(law)
@@ -50,7 +50,7 @@ def test_three_atom_law_matches_multinomial(biased3, n):
 
 def test_fractional_atoms_share_a_scaled_integer_support():
     model = iid_field([Fraction(1, 3), Fraction(1, 2)], [0.5, 0.5])
-    law = mean_law_exact(model, 2)
+    law = model.sum_law(2)
     den, want = iid_sum_law([(Fraction(1, 3), Fraction(1, 2)),
                              (Fraction(1, 2), Fraction(1, 2))], 2)
     assert law.den == den == 6
@@ -58,6 +58,21 @@ def test_fractional_atoms_share_a_scaled_integer_support():
     assert set(got) == set(want)
     for key, p in want.items():
         assert got[key] == pytest.approx(math.log(p), abs=1e-12)
+
+
+def test_float_atoms_read_as_their_decimal_form():
+    # 0.1, 0.2, 0.3 as binary fractions would need a lattice 7e15 wide
+    model = iid_field([0.1, 0.2, 0.3], [0.2, 0.3, 0.5])
+    assert model.atom_fracs == ((Fraction(1, 10),), (Fraction(1, 5),),
+                                (Fraction(3, 10),))
+    assert model.den == 10
+    law = model.sum_law(50)
+    assert law.keys == tuple((s,) for s in range(50, 151))
+    assert law.total() == pytest.approx(0.0, abs=1e-12)
+    exact = iid_field([Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)],
+                      [0.2, 0.3, 0.5]).sum_law(50)
+    assert law.keys == exact.keys
+    np.testing.assert_array_equal(law.logp, exact.logp)
 
 
 def test_iid_cylinder_probability_is_product_of_site_masses():
@@ -72,7 +87,7 @@ def test_mean_law_total_mass_is_one_for_all_kinds():
               conditioned(fresh_biased3(), 3, [0, 2]),
               affine_image(fresh_rademacher(), [[2.0]], [1.0])]
     for model in models:
-        law = mean_law_exact(model, 7)
+        law = model.sum_law(7)
         assert law.total() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -82,7 +97,7 @@ def test_mean_law_total_mass_is_one_for_all_kinds():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_markov_law_matches_path_enumeration(doeblin, n):
-    law = mean_law_exact(doeblin, n)
+    law = doeblin.sum_law(n)
     start = stationary_2x2(DOEBLIN_P)
     want = markov_path_law(DOEBLIN_P, [-1.0, 1.0], start, n)
     got = {k[0]: lp for k, lp in zip(law.keys, law.logp)}
@@ -100,10 +115,10 @@ def test_markov_stationary_start_solves_balance():
 
 def test_markov_law_snapshots_resume_consistently():
     a = fresh_doeblin()
-    direct = mean_law_exact(a, 9)
+    direct = a.sum_law(9)
     b = fresh_doeblin()
-    for n in (3, 6, 9):      # resumed in stages
-        staged = mean_law_exact(b, n)
+    for n in (3, 6, 9):      # requested in stages
+        staged = b.sum_law(n)
     assert staged.keys == direct.keys
     assert np.allclose(staged.logp, direct.logp, atol=1e-12)
 
@@ -116,8 +131,8 @@ def test_product_block_law_equals_base_law():
     base = fresh_biased3()
     blocked = product_of_marginals(base, 3)
     for n in (3, 5, 7):
-        a = mean_law_exact(base, n)
-        b = mean_law_exact(blocked, n)
+        a = base.sum_law(n)
+        b = blocked.sum_law(n)
         assert a.keys == b.keys
         assert np.allclose(a.logp, b.logp, atol=1e-12)
 
@@ -127,7 +142,7 @@ def test_conditioned_block_law_matches_enumeration(n):
     base_probs = {0: Fraction(1, 5), 1: Fraction(3, 10), 2: Fraction(1, 2)}
     atoms = {0: -1, 1: 0, 2: 1}
     model = conditioned(fresh_biased3(), 3, [1, 2])
-    law = mean_law_exact(model, n)
+    law = model.sum_law(n)
     want = conditioned_box_sum_law(atoms, base_probs, 3, [1, 2], n)
     got = law_as_dict(law)
     assert set(got) == set(want)
@@ -146,7 +161,7 @@ def test_conditioned_block_cylinder_zero_on_excluded_atom():
 def test_conditioned_markov_block_law_small_case():
     base = fresh_doeblin()
     model = conditioned(base, 2, [0, 1])   # full support: equals base blocks
-    law = mean_law_exact(model, 4)
+    law = model.sum_law(4)
     start = stationary_2x2(DOEBLIN_P)
     # blocks of 2 are independent copies of the length-2 chain law
     short = markov_path_law(DOEBLIN_P, [-1.0, 1.0], start, 2)
@@ -183,7 +198,7 @@ def test_affine_image_law_transforms_support_exactly():
     # recentering convention: site value is 2*sigma - 1, so atoms {-3, 1}
     model = affine_image(base, [[2.0]], [1.0])
     assert sorted(v[0] for v in model.atom_fracs) == [-3, 1]
-    law = mean_law_exact(model, 5)
+    law = model.sum_law(5)
     want = {}
     for s, p in rademacher_sum_law(5).items():
         want[2 * s - 5] = p
@@ -206,6 +221,111 @@ def test_scalarize_projects_planar_atoms():
 def test_scalarize_identity_shortcut_returns_same_object():
     base = fresh_rademacher()
     assert scalarize(base, 1.0) is base
+
+
+# ---------------------------------------------------------------------------
+# the transfer recurrence against the dict dynamic program, every kind
+
+F = Fraction
+PLANAR = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+CHAIN3 = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+CHAIN4 = [[0.4, 0.3, 0.2, 0.1], [0.1, 0.4, 0.3, 0.2],
+          [0.2, 0.1, 0.4, 0.3], [0.3, 0.2, 0.1, 0.4]]
+
+
+def iid4():
+    return iid_field([F(-1), F(0), F(1), F(2)], [0.1, 0.2, 0.3, 0.4])
+
+
+def chain3(start=None):
+    return markov_field([F(-1), F(0), F(1)], CHAIN3, start)
+
+
+def chain4():
+    return markov_field([F(-1), F(0), F(1), F(2)], CHAIN4)
+
+
+# name -> (fresh model, emitting atom indices, chain states kept, dim)
+KINDS = {
+    "iid-k1": (fresh_biased3, (0, 1, 2), 1, 1),
+    "iid-k2": (lambda: iid_field(PLANAR, [0.5, 0.3, 0.2]), (0, 1, 2), 1, 1),
+    "iid-d2": (lambda: iid_field([F(-1), F(0), F(1)], [0.2, 0.3, 0.5],
+                                 dim=2), (0, 1, 2), 1, 2),
+    "markov-stationary": (chain3, (0, 1, 2), 3, 1),
+    "markov-start": (lambda: chain3([0.6, 0.3, 0.1]), (0, 1, 2), 3, 1),
+    "product-iid": (lambda: product_of_marginals(fresh_biased3(), 3),
+                    (0, 1, 2), 1, 1),
+    "product-chain": (lambda: product_of_marginals(chain3(), 3),
+                      (0, 1, 2), 3, 1),
+    "conditioned-chain-holes": (lambda: conditioned(chain4(), 3, [0, 1, 3]),
+                                (0, 1, 3), 3, 1),
+    "product-chain-block1": (lambda: product_of_marginals(chain3(), 1),
+                             (0, 1, 2), 1, 1),
+    "conditioned-chain-block1": (lambda: conditioned(chain4(), 1, [0, 1, 3]),
+                                 (0, 1, 3), 1, 1),
+    "conditioned-iid": (lambda: conditioned(iid4(), 2, [0, 3]), (0, 3), 1, 1),
+    "affine": (lambda: affine_image(iid4(), [[0.5]], [0.25]),
+               (0, 1, 2, 3), 1, 1),
+    "scalarize-planar": (
+        lambda: scalarize(iid_field(PLANAR, [0.5, 0.3, 0.2]), (1.0, 1.0)),
+        (0, 1, 2), 1, 1),
+}
+
+
+# a d = 2 box of side n has n^2 sites: the dict program is the slow side
+@pytest.mark.parametrize("kind,n", [
+    (kind, n) for kind in sorted(KINDS) for n in (1, 2, 3, 5, 8, 13, 40)
+    if KINDS[kind][3] == 1 or n <= 5])
+def test_sum_law_matches_dict_dynamic_program(kind, n):
+    make, _, _, dim = KINDS[kind]
+    model = make()
+    law = model.sum_law(n)
+    want = dict_sum_law(model, n)
+    keys = tuple(sorted(want))
+    assert law.keys == keys
+    assert law.den == model.den and law.count == n ** dim
+    np.testing.assert_allclose(law.logp, [want[key] for key in keys],
+                               rtol=1e-12, atol=0)
+    assert model.sum_law(n) is law
+
+
+def test_zero_mass_sums_leave_the_support():
+    # the dict program also lists sums reached only through a zero start
+    model = chain3([1.0, 0.0, 0.0])
+    for n in (1, 2, 6):
+        law = model.sum_law(n)
+        want = {k: v for k, v in dict_sum_law(model, n).items()
+                if v > -math.inf}
+        assert law.keys == tuple(sorted(want))
+        np.testing.assert_allclose(law.logp, [want[k] for k in law.keys],
+                                   rtol=1e-12, atol=0)
+    assert law.sums().max() == -1 + 5    # -1 first, then at most +1s
+
+
+def stored_entries(keys, sites, states):
+    """Dense (sum lattice x chain state) entries after ``sites`` sites."""
+    entries = states
+    for coords in zip(*keys):
+        lo = min(coords)
+        step = math.gcd(*(x - lo for x in coords)) or 1
+        entries *= sites * (max(coords) - lo) // step + 1
+    return entries
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_budget_raises_at_the_first_volume_over_it(kind):
+    make, emitting, states, dim = KINDS[kind]
+    model = make()
+    core = model.base if model.kind == "affine" else model
+    keys = [core.atom_keys[i] for i in emitting]
+    n0 = 5
+    budget = stored_entries(keys, n0 ** dim, states)
+    model.budget = budget
+    for n in range(1, n0 + 1):
+        model.sum_law(n)
+    assert stored_entries(keys, (n0 + 1) ** dim, states) > budget
+    with pytest.raises(BudgetExceededError):
+        model.sum_law(n0 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +383,14 @@ def test_budget_exceeded_raises():
     model = fresh_biased3()
     model.budget = 5
     with pytest.raises(BudgetExceededError):
-        mean_law_exact(model, 50)
+        model.sum_law(50)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 30))
 def test_law_mass_and_support_bounds_random_volumes(n):
     model = fresh_biased3()
-    law = mean_law_exact(model, n)
+    law = model.sum_law(n)
     assert law.total() == pytest.approx(0.0, abs=1e-12)
     assert len(law.keys) == 2 * n + 1
     means = law.means()
