@@ -35,7 +35,7 @@ from .models import (AffineImageField, BlockField, DecouplingParams,
                      product_of_marginals, sample, scalarize)
 from .pressure import (PressureCurve, block_pressure_identity_check,
                        compute_pressure_curve, pressure_finite,
-                       pressure_limit, pressure_mc,
+                       pressure_finite_grid, pressure_limit, pressure_mc,
                        pressure_subadditivity_check, residual_beta_check,
                        scalar_pressure_curve, write_curve_csv)
 from .reports import (FAIL, INCONCLUSIVE, PASS, SCHEMA_VERSION,

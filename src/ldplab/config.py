@@ -35,8 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .models import (DecouplingParams, FieldModel, ParamTable, affine_image,
-                     conditioned, iid_field, markov_field,
+from .models import (DecouplingParams, FieldModel, ParamTable, ValueSpace,
+                     affine_image, conditioned, iid_field, markov_field,
                      product_of_marginals)
 
 MODEL_KINDS = ("iid", "markov", "product", "conditioned")
@@ -147,6 +147,13 @@ class ExperimentConfig:
         except ValueError:
             _fail(section, key, f"expected a number, got {raw!r}")
 
+    def get_positive_float(self, section: str, key: str,
+                           default=None) -> float:
+        value = self.get_float(section, key, default)
+        if not value > 0:
+            _fail(section, key, f"must be positive, got {value}")
+        return value
+
     def get_bool(self, section: str, key: str, default=None) -> bool:
         raw = str(self._raw(section, key, default)).strip().lower()
         if raw in ("1", "true", "yes", "on"):
@@ -241,10 +248,15 @@ class ExperimentConfig:
                 for part in _split(raw, ";"):
                     coords = _split(part.strip().strip("()"))
                     atoms.append(tuple(Fraction(c) for c in coords))
-                return atoms
-            return [Fraction(p) for p in _split(raw)]
+            else:
+                atoms = [Fraction(p) for p in _split(raw)]
         except (ValueError, ZeroDivisionError):
             _fail("model", "atoms", f"cannot parse {raw!r}")
+        try:
+            ValueSpace.from_atoms(atoms)
+        except ValueError as exc:
+            _fail("model", "atoms", str(exc))
+        return atoms
 
     def _base_model(self, kind=None) -> FieldModel:
         if kind is None:
@@ -259,7 +271,10 @@ class ExperimentConfig:
             total = sum(weights)
             if total <= 0:
                 _fail("model", "weights", "weights must sum to a positive value")
-            return iid_field(atoms, [w / total for w in weights])
+            try:
+                return iid_field(atoms, [w / total for w in weights])
+            except ValueError as exc:
+                _fail("model", "weights", str(exc))
         if kind == "markov":
             raw = self.get_str("model", "transition")
             try:
@@ -320,21 +335,26 @@ class ExperimentConfig:
         return model
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _parse(text: str, source: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    return ExperimentConfig(parser, path)
+    try:
+        parser.read_string(text, source)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    return parser
+
+
+def load_config(path: str) -> ExperimentConfig:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}") from exc
+    return ExperimentConfig(_parse(text, path), path)
 
 
 def config_from_string(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-    return ExperimentConfig(parser)
+    return ExperimentConfig(_parse(text, "<string>"))
 
 
 def default_config() -> ExperimentConfig:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import pairings
+
 
 @dataclass(frozen=True)
 class BoxShape:
@@ -93,15 +95,24 @@ class ConvexNbhd:
         """Same center and shape with shrink factor eps (replaces any prior)."""
         return ConvexNbhd(self.center, self.shape, eps)
 
-    def support_inf(self, lam) -> float:
-        """inf over the closure of <lam, x> (used by the Chernoff bound)."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    def support_inf(self, lam):
+        """inf over the closure of <lam, x> (used by the Chernoff bound).
+
+        One tilt of shape (k,) gives a float; an (G, k) grid of tilts gives
+        a (G,) array whose rows equal their one-tilt values bit for bit.
+        """
+        arr = np.asarray(lam, dtype=float)
+        pts = np.atleast_2d(arr)
+        if arr.ndim > 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"tilts must have {self.dim} coordinates, got "
+                             f"shape {arr.shape}")
         scale = 1.0 - self.shrink
-        base = float(np.dot(lam, np.asarray(self.center)))
+        base = pairings(pts, [self.center])[:, 0]
         if isinstance(self.shape, BoxShape):
-            spread = float(np.dot(np.abs(lam), np.asarray(self.shape.radii)))
+            spread = pairings(np.abs(pts), [self.shape.radii])[:, 0]
         elif isinstance(self.shape, BallShape):
-            spread = float(np.linalg.norm(lam) * self.shape.radius)
+            spread = np.linalg.norm(pts, axis=1) * self.shape.radius
         else:
             raise TypeError(f"unsupported shape {type(self.shape).__name__}")
-        return base - scale * spread
+        out = base - scale * spread
+        return out if arr.ndim == 2 else float(out[0])

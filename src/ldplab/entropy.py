@@ -17,7 +17,7 @@ from .convexsets import BallShape, BoxShape, ConvexNbhd, gauge
 from .lattice import tile
 from .models import FieldModel
 from .numerics import NEG_INF, logsumexp
-from .pressure import pressure_finite
+from .pressure import pressure_finite_grid
 from .reports import VerificationReport
 
 
@@ -252,23 +252,18 @@ def chebyshev_upper_check(model: FieldModel, nbhd: ConvexNbhd, n: int,
     if pts.shape[1] != model.k:
         raise ValueError(f"tilt grid must have {model.k} columns")
     vol = n ** model.dim
-    best = -math.inf
-    best_lam = None
-    for lam in pts:
-        if not np.any(lam):
-            exponent = 0.0
-        else:
-            exponent = nbhd.support_inf(lam) - pressure_finite(model, n, lam)
-        if exponent > best:
-            best = exponent
-            best_lam = lam
-    bound_log = -vol * best
+    # zero tilts are exactly 0, never a signed zero from support_inf
+    exponents = np.where(np.any(pts, axis=1),
+                         nbhd.support_inf(pts)
+                         - pressure_finite_grid(model, n, pts), 0.0)
+    best = int(np.argmax(exponents))          # the first maximiser
+    bound_log = -vol * float(exponents[best])
     log_p = _event_log_prob(model, nbhd, n)
     slack = math.inf if log_p == NEG_INF else bound_log - log_p
     details = {
         "model": model.describe(), "n": n,
         "bound_log": bound_log, "event_log_prob": log_p,
-        "best_tilt": [float(v) for v in np.atleast_1d(best_lam)],
+        "best_tilt": [float(v) for v in pts[best]],
         "empty_event": log_p == NEG_INF,
     }
     return VerificationReport.from_slacks(

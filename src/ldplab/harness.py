@@ -93,7 +93,7 @@ def verify_duality(cfg: ExperimentConfig) -> RunResult:
     reports = [curve.convexity_check()]
 
     x_values = cfg.get_floats("verify", "x_values")
-    radius = cfg.get_float("verify", "radius")
+    radius = cfg.get_positive_float("verify", "radius")
     gap_tol = cfg.get_float("verify", "gap_tolerance")
     margin = (cfg.get_float("verify", "upper_margin_factor") * p_fn.step
               * _slope_bound(cfg, model))
@@ -275,16 +275,23 @@ def run_tiling(cfg: ExperimentConfig) -> RunResult:
         rows.append((m, n, g, ell, t.k, t.remainder, len(t.margin),
                      float(t.rho)))
 
+    def worst_at(slacks):
+        # the (m, n) pair of the first worst slack, the report's witness
+        if not slacks:
+            return None
+        m, n = pairs[slacks.index(min(slacks))]
+        return {"m": m, "n": n}
+
     reports = [
         VerificationReport.from_slacks(
             "tiling-partition", partition_slacks, 0.0,
-            details={"pairs": pairs}),
+            details={"pairs": pairs, "worst_at": worst_at(partition_slacks)}),
         VerificationReport.from_slacks(
             "tiling-gap-separation", gap_slacks, 0.0,
-            details={"pairs": pairs}),
+            details={"pairs": pairs, "worst_at": worst_at(gap_slacks)}),
         VerificationReport.from_slacks(
             "tiling-sublattice-alignment", align_slacks, 0.0,
-            details={"step": ell}),
+            details={"step": ell, "worst_at": worst_at(align_slacks)}),
     ]
     if len(m_values) == len(n_values):
         reports.append(rho_limit_check(
@@ -305,7 +312,8 @@ def run_hypotheses(cfg: ExperimentConfig) -> RunResult:
     box_side = cfg.get_int("hypotheses", "box_side")
     events = cfg.get_int("hypotheses", "events")
     window = cfg.get_int("hypotheses", "window")
-    shape_radius = cfg.get_float("hypotheses", "shape_radius", "1.0")
+    shape_radius = cfg.get_positive_float("hypotheses", "shape_radius",
+                                          "1.0")
     t = cfg.get_float("hypotheses", "t") if cfg.has("hypotheses", "t") else None
     alpha = (cfg.get_float("hypotheses", "alpha")
              if cfg.has("hypotheses", "alpha") else None)
@@ -411,6 +419,12 @@ def run_chebyshev(cfg: ExperimentConfig) -> RunResult:
     model = cfg.build_model()
     events = cfg.get_int("chebyshev", "events")
     max_n = cfg.get_int("chebyshev", "max_n")
+    if events < 1:
+        raise ConfigError(f"[chebyshev] events: need at least one event, "
+                          f"got {events}")
+    if max_n < 1:
+        raise ConfigError(f"[chebyshev] max_n: need a positive volume "
+                          f"side, got {max_n}")
     rng = np.random.default_rng(cfg.seed)
     if model.k == 1:
         lam_grid = cfg.lambda_grid()
@@ -452,7 +466,7 @@ def run_subadditive(cfg: ExperimentConfig) -> RunResult:
     model = cfg.build_model()
     _require_scalar(cfg, model, "subadditive")
     center = cfg.get_float("subadditive", "center")
-    radius = cfg.get_float("subadditive", "radius")
+    radius = cfg.get_positive_float("subadditive", "radius")
     eps = cfg.get_float("subadditive", "epsilon")
     delta = cfg.delta()
     nbhd = ConvexNbhd((center,), BoxShape((radius,)))

@@ -39,6 +39,7 @@ the stored (sum, state) entries may not exceed ``budget``.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -182,12 +183,19 @@ class FiniteLaw:
     count: int           # number of sites summed
 
     def sums(self) -> np.ndarray:
-        return np.array(self.keys, dtype=float) / self.den
+        """(S, k) float sums, built once per law and read-only."""
+        return self._sums
 
     def means(self) -> np.ndarray:
         if self.count == 0:
             raise ValueError("empty box has no empirical mean")
-        return self.sums() / self.count
+        return self._sums / self.count
+
+    @cached_property
+    def _sums(self) -> np.ndarray:
+        sums = np.array(self.keys, dtype=float) / self.den
+        sums.flags.writeable = False
+        return sums
 
     def total(self) -> float:
         """logsumexp of all masses; 0 up to float accumulation."""

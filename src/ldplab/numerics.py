@@ -31,6 +31,22 @@ def logsumexp(values, axis=None):
     return np.squeeze(out, axis=axis)
 
 
+def pairings(lams, points) -> np.ndarray:
+    """(G, S) array of <lams[g], points[s]> for (G, k) and (S, k) arrays.
+
+    Summed coordinate by coordinate with plain products, not by a BLAS
+    call: BLAS kernels fuse multiply-adds differently for one row than for
+    many, and here every entry is the same float whether its row is
+    computed alone or inside a block.
+    """
+    lams = np.asarray(lams, dtype=float)
+    points = np.asarray(points, dtype=float)
+    out = lams[:, :1] * points[:, 0]
+    for j in range(1, lams.shape[1]):
+        out += lams[:, j:j + 1] * points[:, j]
+    return out
+
+
 def logadd(a: float, b: float) -> float:
     """log(e^a + e^b) for two scalars, tolerant of -inf."""
     if a < b:

@@ -19,11 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .lattice import tile
-from .models import (AffineImageField, BlockField, FieldModel, IIDField,
-                     MarkovField, scalarize)
-from .numerics import logsumexp
+from .lattice import make_box, tile
+from .models import (DEFAULT_LAW_BUDGET, AffineImageField, BlockField,
+                     FieldModel, IIDField, MarkovField, scalarize)
+from .numerics import logsumexp, pairings
 from .reports import VerificationReport
+
+
+# Cells of the (tilts x support) or (tilts x samples) temporary one block
+# of a grid pass may hold: as many as the support of a sum law within the
+# default budget can have, so one tilt of any such law fits in a block.
+# A block holds at least one tilt, so a law under a larger budget still
+# runs, one tilt at a time.
+GRID_BLOCK_CELLS = DEFAULT_LAW_BUDGET
+
+BOOTSTRAP_DRAWS = 200
 
 
 def _as_tilt(model: FieldModel, lam) -> np.ndarray:
@@ -33,42 +43,98 @@ def _as_tilt(model: FieldModel, lam) -> np.ndarray:
     return v
 
 
+def _as_tilts(model: FieldModel, lams) -> np.ndarray:
+    """(G, k) tilt grid; a 1-D grid lists scalar tilts."""
+    pts = np.asarray(lams, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] != model.k:
+        raise ValueError(f"tilt grid must have {model.k} columns, got shape "
+                         f"{np.shape(lams)}")
+    return pts
+
+
+def _row_blocks(rows, width: int):
+    """Consecutive chunks of ``rows`` holding at most GRID_BLOCK_CELLS
+    cells of the given width (at least one row each)."""
+    step = max(1, GRID_BLOCK_CELLS // max(1, width))
+    for start in range(0, len(rows), step):
+        yield rows[start:start + step]
+
+
+def pressure_finite_grid(model: FieldModel, n: int, lams) -> np.ndarray:
+    """Exact pressure over the side-n box at every tilt of a grid.
+
+    One row-wise logsumexp of log p + <lam, sum> over the sum law, in row
+    blocks of at most GRID_BLOCK_CELLS cells.  Zero tilts give exactly 0.
+    """
+    pts = _as_tilts(model, lams)
+    out = np.zeros(len(pts))
+    live = np.flatnonzero(np.any(pts, axis=1))
+    if not live.size:
+        return out
+    law = model.sum_law(n)
+    for rows in _row_blocks(live, len(law.logp)):
+        out[rows] = logsumexp(law.logp + pairings(pts[rows], law.sums()),
+                              axis=1)
+    return out / law.count
+
+
 def pressure_finite(model: FieldModel, n: int, lam) -> float:
     """Exact pressure over the side-n box."""
-    v = _as_tilt(model, lam)
-    if not np.any(v):
-        return 0.0
-    law = model.sum_law(n)
-    return float(logsumexp(law.logp + law.sums() @ v)) / law.count
+    return float(pressure_finite_grid(model, n, _as_tilt(model, lam)[None])[0])
+
+
+def _pressure_mc_grid(model: FieldModel, n: int, lams, samples: int, seed,
+                      ci_boot: int):
+    """Monte Carlo pressure at every tilt of a grid, from one set of draws.
+
+    Returns (estimates (G,), intervals (G, 2)).  The boxes are drawn once
+    and the bootstrap picks after them, in the order a single tilt draws
+    them, so each row equals its one-tilt estimate.
+    """
+    pts = _as_tilts(model, lams)
+    rng = np.random.default_rng(seed)
+    box = make_box((0,) * model.dim, n, model.dim)
+    count = box.size
+    totals = np.empty((samples, model.k))
+    for i in range(samples):
+        config = model.sample_box(box, rng)
+        total = np.zeros(model.k)
+        for idx in config.values():
+            total += model.atoms[idx]
+        totals[i] = total
+    after_draws = rng.bit_generator.state
+    log_samples = math.log(samples)
+    est = np.empty(len(pts))
+    ci = np.empty((len(pts), 2))
+    for rows in _row_blocks(np.arange(len(pts)), samples):
+        vals = pairings(pts[rows], totals)
+        est[rows] = (logsumexp(vals, axis=1) - log_samples) / count
+        # each block replays the same picks rather than holding all of them
+        rng.bit_generator.state = after_draws
+        boots = np.empty((len(rows), ci_boot))
+        for b in range(ci_boot):
+            pick = rng.integers(samples, size=samples)
+            # take() keeps each resampled row contiguous, so its sum runs
+            # in the same pairwise order as the one-tilt sum
+            boots[:, b] = (logsumexp(vals.take(pick, axis=1), axis=1)
+                           - log_samples) / count
+        ci[rows] = np.percentile(boots, [2.5, 97.5], axis=1).T
+    return est, ci
 
 
 def pressure_mc(model: FieldModel, n: int, lam, *, samples: int = 2000,
-                seed=0, ci_boot: int = 200):
+                seed=0, ci_boot: int = BOOTSTRAP_DRAWS):
     """Monte Carlo pressure over the side-n box with a bootstrap interval.
 
     Returns (estimate, ci_low, ci_high).  The estimate is the log of the
     empirical exponential moment divided by the volume; intervals are
     percentile bootstrap over the sampled tilted weights.
     """
-    v = _as_tilt(model, lam)
-    rng = np.random.default_rng(seed)
-    from .lattice import make_box
-    box = make_box((0,) * model.dim, n, model.dim)
-    count = box.size
-    vals = np.empty(samples)
-    for i in range(samples):
-        config = model.sample_box(box, rng)
-        total = np.zeros(model.k)
-        for idx in config.values():
-            total += model.atoms[idx]
-        vals[i] = total @ v
-    est = (logsumexp(vals) - math.log(samples)) / count
-    boots = np.empty(ci_boot)
-    for b in range(ci_boot):
-        pick = rng.integers(samples, size=samples)
-        boots[b] = (logsumexp(vals[pick]) - math.log(samples)) / count
-    lo, hi = np.percentile(boots, [2.5, 97.5])
-    return float(est), float(lo), float(hi)
+    est, ci = _pressure_mc_grid(model, n, _as_tilt(model, lam)[None],
+                                samples, seed, ci_boot)
+    return float(est[0]), float(ci[0, 0]), float(ci[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +240,16 @@ def compute_pressure_curve(model: FieldModel, lams, *, n: int = 0,
     """
     lams = np.asarray(lams, dtype=float)
     pts = lams if lams.ndim > 1 else lams[:, None]
-    values = np.empty(len(pts))
     ci = None
-    if mode == "exact":
-        for i, lam in enumerate(pts):
-            values[i] = (pressure_limit(model, lam) if n == 0
-                         else pressure_finite(model, n, lam))
+    if mode == "exact" and n == 0:
+        values = np.array([pressure_limit(model, lam) for lam in pts])
+    elif mode == "exact":
+        values = pressure_finite_grid(model, n, pts)
     elif mode == "mc":
         if n == 0:
             raise ValueError("Monte Carlo mode needs a finite volume side")
-        ci = np.empty((len(pts), 2))
-        for i, lam in enumerate(pts):
-            values[i], ci[i, 0], ci[i, 1] = pressure_mc(
-                model, n, lam, samples=samples, seed=seed)
+        values, ci = _pressure_mc_grid(model, n, pts, samples, seed,
+                                       BOOTSTRAP_DRAWS)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return PressureCurve(lams=lams, values=values, mode=mode,
@@ -211,20 +274,16 @@ def block_pressure_identity_check(model: BlockField, lam_grid, *,
     j = model.block if j is None else j
     if j != model.block:
         raise ValueError("identity holds at the model's own block side")
-    slacks = []
-    worst_pair = None
-    for lam in lam_grid:
-        p_j = pressure_finite(model, j, lam)
-        for k in ks:
-            p_kj = pressure_finite(model, k * j, lam)
-            slack = -abs(p_kj - p_j)
-            slacks.append(slack)
-            if worst_pair is None or slack < worst_pair[0]:
-                worst_pair = (slack, float(np.atleast_1d(lam)[0]), k)
+    lams = _as_tilts(model, lam_grid)
+    p_j = pressure_finite_grid(model, j, lams)
+    slacks = -np.abs(np.stack([pressure_finite_grid(model, k * j, lams)
+                               for k in ks], axis=1) - p_j[:, None])
+    at, which = np.unravel_index(np.argmin(slacks), slacks.shape)
     details = {"model": model.describe(), "j": j, "ks": list(ks),
-               "worst_at": {"lambda": worst_pair[1], "k": worst_pair[2]}}
+               "worst_at": {"lambda": float(lams[at, 0]), "k": ks[which]}}
     return VerificationReport.from_slacks(
-        "block-pressure-identity", slacks, tolerance, details=details)
+        "block-pressure-identity", slacks.ravel().tolist(), tolerance,
+        details=details)
 
 
 def pressure_subadditivity_check(model: FieldModel, lam, m: int, n: int, *,
@@ -301,7 +360,6 @@ def residual_beta_check(model: FieldModel, sites=None, t=None, alpha=None, *,
         coverage = f"all {total} assignments on {len(sites)} sites"
     else:
         rng = np.random.default_rng(seed)
-        from .lattice import make_box
         lo = min(min(s) for s in sites)
         hi = max(max(s) for s in sites)
         box = make_box((lo,) * model.dim, hi - lo + 1, model.dim)

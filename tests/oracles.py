@@ -388,3 +388,48 @@ def _site_set_distance(a, b):
             d = max(abs(u - v) for u, v in zip(p, qq))
             best = d if best is None else min(best, d)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Chernoff bound, one tilt at a time
+
+
+def finite_pressure_per_tilt(law, lam) -> float:
+    """log E exp <lam, S> / count straight from a sum law, one tilt.
+
+    Products are taken coordinate by coordinate and added in coordinate
+    order, as the package's grid pass does, so the two agree bit for bit.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if not np.any(lam):
+        return 0.0
+    sums = law.sums()
+    tilt = sums[:, 0] * lam[0]
+    for j in range(1, len(lam)):
+        tilt = tilt + sums[:, j] * lam[j]
+    return _lse(law.logp + tilt) / law.count
+
+
+def chernoff_scan(model, nbhd, n: int, lam_grid):
+    """(bound_log, event_log_prob, best_tilt) of the Chernoff bound, scanned
+    one tilt at a time with the scalar ``support_inf`` and
+    ``pressure_finite``: zero tilts count as exactly 0 and the first tilt
+    with a strictly larger exponent wins.  This is the loop the package ran
+    before it evaluated the whole grid in one pass; it shares the one-tilt
+    arithmetic with the package and checks the grid, block and tie logic.
+    """
+    from ldplab import pressure_finite
+    grid = np.asarray(lam_grid, dtype=float)
+    pts = grid if grid.ndim > 1 else grid[:, None]
+    best, best_lam = -math.inf, None
+    for lam in pts:
+        if not np.any(lam):
+            exponent = 0.0
+        else:
+            exponent = nbhd.support_inf(lam) - pressure_finite(model, n, lam)
+        if exponent > best:
+            best, best_lam = exponent, lam
+    law = model.sum_law(n)
+    mask = nbhd.member_mask(law.means())
+    log_p = min(_lse(law.logp[mask]), 0.0) if mask.any() else -math.inf
+    return -(n ** model.dim) * best, log_p, [float(v) for v in best_lam]

@@ -93,6 +93,19 @@ def test_support_inf_matches_dense_minimum():
             assert nbhd.support_inf(lam) <= dense + 1e-9
 
 
+def test_support_inf_grid_rows_equal_one_tilt_calls():
+    rng = np.random.default_rng(5)
+    grid = np.vstack([rng.uniform(-3, 3, size=(40, 2)), [(0.0, -0.0)]])
+    for shape in (BoxShape((0.5, 1.5)), BallShape(0.8, 2)):
+        nbhd = ConvexNbhd((0.3, -0.4), shape, shrink=0.25)
+        rows = nbhd.support_inf(grid)
+        assert rows.shape == (len(grid),)
+        assert rows.tobytes() == np.array(
+            [nbhd.support_inf(lam) for lam in grid]).tobytes()
+    with pytest.raises(ValueError):
+        nbhd.support_inf(np.zeros((3, 1)))
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         BoxShape((0.0,))

@@ -6,11 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ldplab import (BoxShape, ConvexNbhd, EntropyEstimate,
-                    chebyshev_upper_check, concavity_check, entropy_estimate,
-                    random_convex_event, subadditive_lemma_check, tile)
+from ldplab import (BallShape, BoxShape, ConvexNbhd, EntropyEstimate,
+                    affine_image, chebyshev_upper_check, concavity_check,
+                    conditioned, entropy_estimate, iid_field,
+                    product_of_marginals, random_convex_event,
+                    subadditive_lemma_check, tile)
 
-from oracles import (in_window, rademacher_sum_law,
+from conftest import fresh_biased3, fresh_doeblin, fresh_rademacher
+from oracles import (chernoff_scan, in_window, rademacher_sum_law,
                      rademacher_window_log_prob, rate_function_pm1)
 
 
@@ -183,3 +186,74 @@ def test_chebyshev_empty_event_is_vacuous(rademacher):
     assert report.status == "pass"
     assert report.details["empty_event"] is True
     assert report.worst_slack == math.inf
+
+
+PLANAR_ATOMS = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
+                (Fraction(0), Fraction(1)),
+                (Fraction(-3, 10), Fraction(7, 10))]
+PLANAR_WEIGHTS = [0.4, 0.3, 0.2, 0.1]
+
+CHERNOFF_MODELS = {
+    "iid": (fresh_biased3, 9),
+    "markov": (fresh_doeblin, 11),
+    "product": (lambda: product_of_marginals(fresh_doeblin(), 2), 8),
+    "conditioned": (lambda: conditioned(fresh_biased3(), 3, [0, 2]), 7),
+    "affine": (lambda: affine_image(fresh_rademacher(), [[2.5]], [0.3]), 10),
+    "planar": (lambda: iid_field(PLANAR_ATOMS, PLANAR_WEIGHTS), 6),
+    "box-2d": (lambda: iid_field([Fraction(-1), Fraction(0), Fraction(1)],
+                                 [0.2, 0.3, 0.5], dim=2), 4),
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _chernoff_grids(k):
+    """A plain grid with 0 and grids that tie: repeated tilts, both signs
+    of zero, and only zeros."""
+    axis = np.linspace(-2.5, 2.5, 11)
+    repeated = np.array([0.7, -0.0, -1.3, 0.0, 0.7, -1.3, 2.2, 2.2])
+    zeros = np.array([0.0, -0.0, 0.0])
+    if k == 1:
+        return [axis, repeated, zeros]
+    plane = np.array([(a, b) for a in axis[::2] for b in axis[::2]])
+    return [plane, np.column_stack([repeated, repeated[::-1]]),
+            np.column_stack([zeros, zeros[::-1]])]
+
+
+def _chernoff_events(k):
+    box = ConvexNbhd((0.15,) * k, BoxShape((0.4,) * k))
+    far = ConvexNbhd((0.9,) * k, BoxShape((0.25,) * k))
+    events = [box, box.shrunk(0.3), far, far.shrunk(0.6)]
+    if k == 2:
+        ball = ConvexNbhd((0.3, 0.1), BallShape(0.35, 2))
+        events += [ball, ball.shrunk(0.5)]
+    return events
+
+
+@pytest.mark.parametrize("kind", sorted(CHERNOFF_MODELS))
+def test_chernoff_grid_pass_matches_per_tilt_scan(kind):
+    build, n = CHERNOFF_MODELS[kind]
+    model = build()
+    for grid in _chernoff_grids(model.k):
+        for event in _chernoff_events(model.k):
+            report = chebyshev_upper_check(model, event, n, grid)
+            bound_log, log_p, best_tilt = chernoff_scan(model, event, n, grid)
+            d = report.details
+            assert _bits(d["bound_log"]) == _bits(bound_log)
+            assert _bits(d["event_log_prob"]) == _bits(log_p)
+            assert _bits(d["best_tilt"]) == _bits(best_tilt)
+
+
+def test_chernoff_keeps_the_first_of_tied_maxima():
+    # one atom at 0 and the box (0, 1): every tilt >= 0 has exponent
+    # exactly 0, so the first nonnegative tilt of the grid is the best
+    point = iid_field([Fraction(0)], [1.0])
+    event = ConvexNbhd((0.5,), BoxShape((0.5,)))
+    report = chebyshev_upper_check(point, event, 5,
+                                   np.array([-1.0, 2.0, 0.5, 0.0, 3.0]))
+    assert report.details["best_tilt"] == [2.0]
+    assert report.details["bound_log"] == 0.0
+    assert report.details["empty_event"] is True
+

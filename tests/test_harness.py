@@ -1,6 +1,7 @@
 """Config layer, pipeline runners, CLI contract."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from ldplab import (ConfigError, GridFunction, config_from_string,
+from ldplab import (Box, ConfigError, GridFunction, config_from_string,
                     default_config, load_config, run_chebyshev, run_entropy,
                     run_hypotheses, run_lft, run_mosco_pipeline, run_pressure,
                     run_subadditive, run_tiling, verify_duality,
@@ -148,6 +149,10 @@ def test_semicolon_separates_rows_and_hash_starts_comments():
     ("[volumes]\nn_list = 50, 50\n", "strictly increasing"),
     ("[run]\nmode = turbo\n", "[run] mode"),
     ("[entropy]\nepsilon = 1.5\n", "(0, 1)"),
+    ("[model]\nkind = iid\natoms = 1, 1\n", "[model] atoms"),
+    ("[model]\nkind = iid\natoms = (0, 0); (1)\n", "[model] atoms"),
+    ("[model]\nkind = iid\natoms = -1, 1\nweights = 2, -1\n",
+     "[model] weights"),
 ])
 def test_config_rejections(text, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -189,10 +194,13 @@ def test_exact_runs_are_byte_identical(tmp_path):
     for sub in ("a", "b"):
         cfg = mini_cfg(tmp_path / sub)
         verify_duality(cfg)
+        run_chebyshev(cfg)
+        run_pressure(cfg)
         base = tmp_path / sub / "out"
         blobs.append([(name, (base / name).read_bytes())
                       for name in ("pressure_limit.csv", "duality.csv",
-                                   "verify.json")])
+                                   "verify.json", "chebyshev.csv",
+                                   "pressure_n40.csv")])
     assert blobs[0] == blobs[1]
 
 
@@ -216,6 +224,37 @@ def test_run_tiling_flags_non_vanishing_density(tmp_path):
     failing = [r for r in result.reports if r.status == "fail"]
     assert [r.inequality for r in failing] == \
         ["rho-eventually-below-thresholds"]
+
+
+def test_tiling_reports_name_the_worst_pair(tmp_path, monkeypatch):
+    # a tiler that, on the (4, 64) pair only, slides the second sub-box
+    # three sites back (off the step-2 sublattice, across the gap) and loses
+    # a margin site
+    import ldplab.harness as harness
+    real_tile = harness.tile
+
+    def faulty(n, m, g, ell, dim, corner=None):
+        t = real_tile(n, m, g, ell, dim, corner)
+        if (m, n) != (4, 64):
+            return t
+        first, second, *rest = t.sub_boxes
+        moved = Box(tuple(c - 3 for c in second.corner), second.side,
+                    second.dim)
+        return dataclasses.replace(t, sub_boxes=(first, moved, *rest),
+                                   margin=t.margin[1:])
+
+    monkeypatch.setattr(harness, "tile", faulty)
+    text = MINI.format(out=tmp_path / "out").replace(
+        "atoms = -1, 1", "atoms = -1, 1\nkind = product\nblock = 2").replace(
+        "kind = iid\n", "", 1)
+    result = run_tiling(config_from_string(text))
+    by_name = {r.inequality: r for r in result.reports}
+    for name in ("tiling-partition", "tiling-gap-separation",
+                 "tiling-sublattice-alignment"):
+        assert by_name[name].status == "fail"
+        assert by_name[name].details["worst_at"] == {"m": 4, "n": 64}
+    doc = strict_json(tmp_path / "out" / "tiling.json")
+    assert doc["reports"][0]["details"]["worst_at"] == {"m": 4, "n": 64}
 
 
 def test_run_entropy_monotonicity_report(tmp_path):
@@ -405,6 +444,24 @@ def test_cli_config_errors_exit_three(tmp_path):
     code2, _, err2 = run_cli(["tiling", "--config", str(bad)])
     assert code2 == 3
     assert "[model] kind" in err2
+
+
+@pytest.mark.parametrize("command,text,fragment", [
+    ("verify", "[model]\nkind = iid\nkind = markov\n", "already exists"),
+    ("verify", "kind = iid\n", "no section headers"),
+    ("tiling", "[model]\natoms = 1, 1\n", "[model] atoms"),
+    ("verify", "[verify]\nradius = -0.1\n[volumes]\nn_list = 5\n",
+     "[verify] radius"),
+    ("chebyshev", "[chebyshev]\nevents = 0\n", "[chebyshev] events"),
+    ("chebyshev", "[chebyshev]\nevents = -2\n", "[chebyshev] events"),
+    ("chebyshev", "[chebyshev]\nmax_n = 0\n", "[chebyshev] max_n"),
+])
+def test_cli_malformed_inputs_exit_three(tmp_path, command, text, fragment):
+    path = tmp_path / "bad.ini"
+    path.write_text(text + f"[run]\nout = {tmp_path / 'out'}\n")
+    code, _, err = run_cli([command, "--config", str(path)])
+    assert code == 3
+    assert "configuration error" in err and fragment in err
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

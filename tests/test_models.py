@@ -366,6 +366,14 @@ def test_sample_frequencies_match_law_within_three_sigma():
     assert abs(rng_hits / trials - p) <= 3 * se
 
 
+def test_law_sums_are_built_once_and_read_only(biased3):
+    law = biased3.sum_law(12)
+    assert law.sums() is law.sums()
+    with pytest.raises(ValueError):
+        law.sums()[0, 0] = 99.0
+    assert law.means().tolist() == (law.sums() / 12).tolist()
+
+
 def test_value_space_rejects_duplicates_and_bad_dims():
     with pytest.raises(ValueError):
         ValueSpace.from_atoms([1, 1])

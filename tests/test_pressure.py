@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +10,15 @@ import pytest
 
 from ldplab import (PressureCurve, block_pressure_identity_check,
                     compute_pressure_curve, conditioned, iid_field,
-                    markov_field, pressure_finite, pressure_limit,
-                    pressure_mc, pressure_subadditivity_check,
+                    markov_field, pressure_finite, pressure_finite_grid,
+                    pressure_limit, pressure_mc, pressure_subadditivity_check,
                     product_of_marginals, read_grid_csv, residual_beta_check,
                     scalar_pressure_curve, scalarize, tile, write_curve_csv)
+from ldplab import pressure as pressure_module
 
-from conftest import DOEBLIN_P, fresh_rademacher
-from oracles import iid_block_pressure, tilted_chain_pressure
+from conftest import DOEBLIN_P, fresh_doeblin, fresh_rademacher
+from oracles import (finite_pressure_per_tilt, iid_block_pressure,
+                     tilted_chain_pressure)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +74,90 @@ def test_markov_finite_volume_error_decays_like_inverse_n(doeblin):
     # n * err converges to the boundary constant
     scaled = [n * e for n, e in zip(ns, errs)]
     assert abs(scaled[-1] - scaled[-2]) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the tilt grid in one pass
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _planar():
+    return iid_field([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
+                      (Fraction(-3, 10), Fraction(7, 10))], [0.5, 0.3, 0.2])
+
+
+def test_exact_finite_curve_equals_per_tilt_loop(biased3, doeblin):
+    grid = np.linspace(-3.0, 3.0, 61)           # holds an exact 0
+    plane = np.array([(a, b) for a in grid[::6] for b in grid[::6]])
+    for model, lams, n in ((biased3, grid, 30), (doeblin, grid, 25),
+                           (conditioned(biased3, 3, [0, 2]), grid, 12),
+                           (_planar(), plane, 5)):
+        curve = compute_pressure_curve(model, lams, n=n)
+        law = model.sum_law(n)
+        pts = lams if lams.ndim > 1 else lams[:, None]
+        assert _bits(curve.values) == _bits(
+            [pressure_finite(model, n, lam) for lam in pts])
+        assert _bits(curve.values) == _bits(
+            [finite_pressure_per_tilt(law, lam) for lam in pts])
+        assert curve.values[np.flatnonzero(~np.any(pts, axis=1))].tolist() \
+            == [0.0]
+
+
+AXIS = np.linspace(-2.0, 2.0, 9)
+
+
+@pytest.mark.parametrize("model,n,lams", [
+    (fresh_doeblin(), 40, np.linspace(-4.0, 4.0, 81)),
+    (_planar(), 5, np.array([(a, b) for a in AXIS for b in AXIS])),
+])
+def test_several_row_blocks_give_the_same_pressures(monkeypatch, model, n,
+                                                    lams):
+    whole = pressure_finite_grid(model, n, lams)
+    seen = []
+    inner = pressure_module.logsumexp
+
+    def recording(values, axis=None):
+        seen.append(np.shape(values))
+        return inner(values, axis=axis)
+
+    support = len(model.sum_law(n).logp)
+    monkeypatch.setattr(pressure_module, "GRID_BLOCK_CELLS", 7 * support)
+    monkeypatch.setattr(pressure_module, "logsumexp", recording)
+    blocked = pressure_finite_grid(model, n, lams)
+    assert _bits(blocked) == _bits(whole)
+    # the zero tilt is skipped; 80 live rows in blocks of 7
+    assert seen == [(7, support)] * 11 + [(3, support)]
+
+
+def test_grid_temporary_stays_within_the_block_constant(monkeypatch):
+    # 40000 atoms: a 201-point grid at once would need 201 x 40000 cells
+    wide = iid_field(list(range(40000)), [1 / 40000] * 40000)
+    law = wide.sum_law(1)
+    grid = np.linspace(-1e-3, 1e-3, 201)
+    cells = []
+    inner = pressure_module.logsumexp
+
+    def recording(values, axis=None):
+        cells.append(np.size(values))
+        return inner(values, axis=axis)
+
+    monkeypatch.setattr(pressure_module, "logsumexp", recording)
+    tracemalloc.start()
+    try:
+        values = pressure_finite_grid(wide, 1, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(law.logp) * len(grid) > 10 * pressure_module.GRID_BLOCK_CELLS
+    assert len(cells) > 1
+    assert max(cells) <= pressure_module.GRID_BLOCK_CELLS
+    # every temporary of a step together stays below a quarter of the
+    # single (201 x 40000) float array an unblocked pass would hold
+    assert peak < len(law.logp) * len(grid) * 8 / 4
+    assert values[100] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +243,32 @@ def test_pressure_mc_is_deterministic(rademacher):
     a = pressure_mc(rademacher, 8, 0.5, samples=500, seed=3)
     b = pressure_mc(rademacher, 8, 0.5, samples=500, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("model", [fresh_rademacher(),
+                                   markov_field([-1, 1], DOEBLIN_P)])
+def test_mc_curve_samples_once_and_equals_per_tilt_calls(model, monkeypatch):
+    grid = np.array([-1.5, 0.0, 0.4, 2.0])
+    draws = []
+    sample_box = model.sample_box
+
+    def counting(box, rng):
+        draws.append(box.size)
+        return sample_box(box, rng)
+
+    monkeypatch.setattr(model, "sample_box", counting)
+    curve = compute_pressure_curve(model, grid, n=4, mode="mc", samples=300,
+                                   seed=5)
+    assert len(draws) == 300
+    for lam, value, ci in zip(grid, curve.values, curve.ci):
+        assert _bits((value,) + tuple(ci)) == _bits(
+            pressure_mc(model, 4, lam, samples=300, seed=5))
+    # one tilt per block: every block replays the same bootstrap picks
+    monkeypatch.setattr(pressure_module, "GRID_BLOCK_CELLS", 300)
+    blocked = compute_pressure_curve(model, grid, n=4, mode="mc",
+                                     samples=300, seed=5)
+    assert _bits(blocked.values) == _bits(curve.values)
+    assert _bits(blocked.ci) == _bits(curve.ci)
 
 
 def test_mc_mode_requires_finite_volume(rademacher):
