@@ -32,7 +32,8 @@ from .models import (AffineImageField, BlockField, DecouplingParams,
                      FieldModel, FiniteLaw, IIDField, LocalControlParams,
                      MarkovField, ParamTable, ValueSpace, affine_image,
                      conditioned, iid_field, markov_field,
-                     product_of_marginals, sample, scalarize)
+                     product_of_marginals, sample, sample_sums,
+                     scalarize)
 from .pressure import (PressureCurve, block_pressure_identity_check,
                        compute_pressure_curve, pressure_finite,
                        pressure_finite_grid, pressure_limit, pressure_mc,

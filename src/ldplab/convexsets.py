@@ -81,10 +81,6 @@ class ConvexNbhd:
     def dim(self) -> int:
         return len(self.center)
 
-    def contains(self, point) -> bool:
-        delta = np.atleast_1d(np.asarray(point, dtype=float)) - np.asarray(self.center)
-        return gauge(self.shape, delta) < 1.0 - self.shrink
-
     def member_mask(self, points: np.ndarray) -> np.ndarray:
         """Strict membership for an (N, k) array of points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexsets import BallShape, BoxShape, ConvexNbhd, gauge
-from .lattice import tile
-from .models import FieldModel
+from .lattice import make_box, tile
+from .models import FieldModel, sample_sums
 from .numerics import NEG_INF, logsumexp
 from .pressure import pressure_finite_grid
 from .reports import VerificationReport
@@ -82,17 +82,10 @@ def entropy_estimate(model: FieldModel, x, shape, n_list, *,
             values[i] = v / n ** model.dim if v > NEG_INF else NEG_INF
     elif mode == "mc":
         rng = np.random.default_rng(seed)
-        from .lattice import make_box
         for i, n in enumerate(n_list):
             box = make_box((0,) * model.dim, n, model.dim)
-            hits = 0
-            for _ in range(samples):
-                config = model.sample_box(box, rng)
-                total = np.zeros(model.k)
-                for idx in config.values():
-                    total += model.atoms[idx]
-                if nbhd.contains(total / box.size):
-                    hits += 1
+            means = sample_sums(model, box, samples, rng) / box.size
+            hits = int(np.count_nonzero(nbhd.member_mask(means)))
             values[i] = (math.log(hits / samples) / n ** model.dim
                          if hits else NEG_INF)
     else:

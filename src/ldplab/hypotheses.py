@@ -20,12 +20,6 @@ from .numerics import NEG_INF
 from .reports import VerificationReport
 
 
-def _rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _random_constraints(sites, support, rng, p_skip=0.35):
     """Random cylinder event: per-site non-empty allowed atom subsets."""
     out = {}
@@ -59,7 +53,7 @@ def check_decoupling(model: FieldModel, m: int, n: int, *, event_budget=100,
     c = model.decoupling.c(n) if c_claimed is None else float(c_claimed)
     gap = int(math.floor(g)) + 1          # smallest integer distance > g
     s_sites = tuple((-gap - i,) for i in range(m))
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     support = model.support_indices()
     slacks = []
     for _ in range(event_budget):
@@ -102,7 +96,7 @@ def check_local_control(model: FieldModel, shape, t=None, alpha=None, *,
         alpha = cert.alpha if alpha is None else alpha
     params = LocalControlParams(t=float(t), alpha=float(alpha))
     allowed = model.allowed_in_scaled(shape, params.t)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     support = model.support_indices()
     origin = (0,) * model.dim
     if model.dim == 1:

@@ -252,7 +252,9 @@ class FieldModel:
     def sum_law(self, n: int) -> FiniteLaw:
         raise NotImplementedError
 
-    def sample_box(self, box: Box, rng) -> dict:
+    def sample_box(self, box: Box, rng, samples: int) -> np.ndarray:
+        """(samples, box.size) atom indices of independent draws on the box,
+        columns in ``box.sites()`` order."""
         raise NotImplementedError
 
     def _memo(self, n: int, build) -> FiniteLaw:
@@ -359,6 +361,9 @@ class IIDField(FieldModel):
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         self.weights = w / w.sum()
         self.log_w = np.log(self.weights)
+        # the same law as a chain whose rows all equal the weights (a view)
+        self.start = self.weights
+        self.transition = np.broadcast_to(self.weights, (self.n_atoms,) * 2)
 
     def cylinder_log_prob(self, constraints) -> float:
         total = 0.0
@@ -371,10 +376,9 @@ class IIDField(FieldModel):
         return self._memo(n, lambda: self._transfer_law(
             n ** self.dim, self.atom_keys, self.log_w))
 
-    def sample_box(self, box: Box, rng) -> dict:
-        sites = box.sites()
-        idx = rng.choice(self.n_atoms, size=len(sites), p=self.weights)
-        return {s: int(i) for s, i in zip(sites, idx)}
+    def sample_box(self, box: Box, rng, samples: int) -> np.ndarray:
+        return rng.choice(self.n_atoms, size=(samples, box.size),
+                          p=self.weights)
 
     def describe(self) -> str:
         return f"iid(atoms={self.n_atoms},k={self.k},d={self.dim})"
@@ -392,6 +396,36 @@ def _stationary_distribution(P: np.ndarray) -> np.ndarray:
     pi, *_ = np.linalg.lstsq(M, b, rcond=None)
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
+
+
+def _chain_paths(rng, count: int, length: int, start, T) -> np.ndarray:
+    """(count, length) paths drawn with probability proportional to
+    start[x(0)] T[x(0), x(1)] ... T[x(length - 2), x(length - 1)].
+
+    Zeroed weights condition the chain; the backward filter draws site t
+    from row x(t-1) of T times h, where h(b) is the total weight of the
+    continuations from x(t) = b.  Each site is drawn by inverse CDF for
+    all paths at once.
+    """
+    h = np.ones(len(start))
+    steps = []
+    for _ in range(length - 1):
+        K = T * h[None, :]
+        steps.append(K)
+        h = K.sum(axis=1)
+        h = h / h.max()
+    steps.append((start * h)[None, :])   # site 0: one row, picked by x = 0
+    paths = np.empty((count, length), dtype=np.intp)
+    x = np.zeros(count, dtype=np.intp)
+    for t, K in enumerate(reversed(steps)):
+        cdf = np.cumsum(K / K.sum(axis=1, keepdims=True), axis=1)
+        # +inf from each row's last positive weight on, so that u in [0, 1)
+        # never picks a zero weight, however the cumulative sum rounds
+        last = K.shape[1] - 1 - np.argmax(K[:, ::-1] > 0, axis=1)
+        cdf[np.arange(K.shape[1]) >= last[:, None]] = np.inf
+        x = (cdf[x] <= rng.random(count)[:, None]).sum(axis=1)
+        paths[:, t] = x
+    return paths
 
 
 class MarkovField(FieldModel):
@@ -461,15 +495,10 @@ class MarkovField(FieldModel):
         return self._memo(n, lambda: self._transfer_law(
             n, self.atom_keys, self.log_start, self.log_T, period=n))
 
-    def sample_box(self, box: Box, rng) -> dict:
-        sites = box.sites()
-        out = {}
-        idx = int(rng.choice(self.n_atoms, p=self.start))
-        out[sites[0]] = idx
-        for s in sites[1:]:
-            idx = int(rng.choice(self.n_atoms, p=self.transition[idx]))
-            out[s] = idx
-        return out
+    def sample_box(self, box: Box, rng, samples: int) -> np.ndarray:
+        # anchored at the box's left edge, as the sum law is
+        return _chain_paths(rng, samples, box.side, self.start,
+                            self.transition)
 
     def describe(self) -> str:
         return f"markov(atoms={self.n_atoms},delta={self.doeblin_delta:.3g})"
@@ -611,46 +640,17 @@ class BlockField(FieldModel):
         weights = [mask + tilts] * self.block
         return self._weighted_block_logsum(weights) - self.log_mass
 
-    def sample_box(self, box: Box, rng) -> dict:
-        lo = box.corner[0]
-        hi = lo + box.side
-        out = {}
-        first_block = lo // self.block
-        last_block = (hi - 1) // self.block
-        for b in range(first_block, last_block + 1):
-            path = self._sample_block(rng)
-            for pos, idx in enumerate(path):
-                site = b * self.block + pos
-                if lo <= site < hi:
-                    out[(site,)] = idx
-        return out
-
-    def _sample_block(self, rng):
-        if isinstance(self.base, IIDField):
-            w = self.base.weights[self._keep_list]
-            w = w / w.sum()
-            picks = rng.choice(len(self._keep_list), size=self.block, p=w)
-            return [self._keep_list[i] for i in picks]
-        base = self.base
-        keep = self._keep_list
-        A = self.n_atoms
-        # G[t][a] = P(positions t+1..block-1 all in keep | X_t = a), normalized
-        G = [None] * self.block
-        g = np.ones(A)
-        G[self.block - 1] = g
-        for t in range(self.block - 2, -1, -1):
-            g = base.transition[:, keep] @ g[keep]
-            g = g / g.max()
-            G[t] = g
-        path = []
-        w = base.start[keep] * G[0][keep]
-        idx = keep[int(rng.choice(len(keep), p=w / w.sum()))]
-        path.append(idx)
-        for t in range(1, self.block):
-            w = base.transition[idx, keep] * G[t][keep]
-            idx = keep[int(rng.choice(len(keep), p=w / w.sum()))]
-            path.append(idx)
-        return path
+    def sample_box(self, box: Box, rng, samples: int) -> np.ndarray:
+        """Whole blocks drawn as base-chain paths that stay in the keep set,
+        then cropped to the box."""
+        keep = np.exp(self._keep_mask_log())
+        first = box.corner[0] // self.block
+        blocks = (box.corner[0] + box.side - 1) // self.block - first + 1
+        paths = _chain_paths(rng, samples * blocks, self.block,
+                             self.base.start * keep,
+                             self.base.transition * keep)
+        skip = box.corner[0] - first * self.block
+        return paths.reshape(samples, -1)[:, skip:skip + box.side]
 
     def describe(self) -> str:
         tag = "conditioned" if self.conditioned else "product"
@@ -740,8 +740,8 @@ class AffineImageField(FieldModel):
                              count)
         return self._memo(n, build)
 
-    def sample_box(self, box: Box, rng) -> dict:
-        return self.base.sample_box(box, rng)
+    def sample_box(self, box: Box, rng, samples: int) -> np.ndarray:
+        return self.base.sample_box(box, rng, samples)
 
     def local_control_certificate(self, shape, rule: str = "canonical"):
         """Covering certificate, or the composed linear+offset pushforward rule.
@@ -797,9 +797,23 @@ def scalarize(model: FieldModel, lam) -> FieldModel:
 
 
 def sample(model: FieldModel, box: Box, seed) -> dict:
-    """Draw one configuration on the box; deterministic in (model, box, seed)."""
-    rng = np.random.default_rng(seed) if not isinstance(
-        seed, np.random.Generator) else seed
+    """Draw one configuration on the box; deterministic in (model, box, seed).
+
+    ``seed`` may also be a Generator, which numpy's default_rng returns
+    unaltered, so the draw then continues its stream.
+    """
     if box.dim != model.dim:
         raise ValueError(f"box dim {box.dim} != model dim {model.dim}")
-    return model.sample_box(box, rng)
+    row = model.sample_box(box, np.random.default_rng(seed), 1)[0]
+    return {s: int(i) for s, i in zip(box.sites(), row)}
+
+
+def sample_sums(model: FieldModel, box: Box, samples: int, rng) -> np.ndarray:
+    """(samples, k) site sums of independent draws on the box, drawn in
+    row blocks of at most DEFAULT_LAW_BUDGET (sample, site) cells."""
+    sums = np.empty((samples, model.k))
+    rows = max(1, DEFAULT_LAW_BUDGET // box.size)
+    for lo in range(0, samples, rows):
+        draws = model.sample_box(box, rng, min(rows, samples - lo))
+        sums[lo:lo + len(draws)] = model.atoms[draws].sum(axis=1)
+    return sums

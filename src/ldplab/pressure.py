@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .lattice import make_box, tile
 from .models import (DEFAULT_LAW_BUDGET, AffineImageField, BlockField,
-                     FieldModel, IIDField, MarkovField, scalarize)
+                     FieldModel, IIDField, MarkovField, sample_sums, scalarize)
 from .numerics import logsumexp, pairings
 from .reports import VerificationReport
 
@@ -97,13 +97,7 @@ def _pressure_mc_grid(model: FieldModel, n: int, lams, samples: int, seed,
     rng = np.random.default_rng(seed)
     box = make_box((0,) * model.dim, n, model.dim)
     count = box.size
-    totals = np.empty((samples, model.k))
-    for i in range(samples):
-        config = model.sample_box(box, rng)
-        total = np.zeros(model.k)
-        for idx in config.values():
-            total += model.atoms[idx]
-        totals[i] = total
+    totals = sample_sums(model, box, samples, rng)
     after_draws = rng.bit_generator.state
     log_samples = math.log(samples)
     est = np.empty(len(pts))
@@ -352,26 +346,24 @@ def residual_beta_check(model: FieldModel, sites=None, t=None, alpha=None, *,
     sites = [s for s in sites if tuple(s) != origin]
     values = model.atoms[:, 0]
     total = len(support) ** len(sites)
-    assignments = []
     if total <= assignment_budget:
         import itertools
-        for combo in itertools.product(support, repeat=len(sites)):
-            assignments.append(dict(zip(sites, combo)))
+        rows = itertools.product(support, repeat=len(sites))
         coverage = f"all {total} assignments on {len(sites)} sites"
     else:
-        rng = np.random.default_rng(seed)
         lo = min(min(s) for s in sites)
         hi = max(max(s) for s in sites)
         box = make_box((lo,) * model.dim, hi - lo + 1, model.dim)
-        for _ in range(assignment_budget):
-            config = model.sample_box(box, rng)
-            assignments.append({s: config[tuple(s)] for s in sites})
+        column = {site: i for i, site in enumerate(box.sites())}
+        draws = model.sample_box(box, np.random.default_rng(seed),
+                                 assignment_budget)
+        rows = draws[:, [column[tuple(s)] for s in sites]].tolist()
         coverage = (f"{assignment_budget} model-sampled assignments "
                     f"on {len(sites)} sites; not exhaustive")
     slacks = []
     skipped = 0
-    for assign in assignments:
-        cons = {s: frozenset((i,)) for s, i in assign.items()}
+    for row in rows:
+        cons = {s: frozenset((i,)) for s, i in zip(sites, row)}
         log_f = model.cylinder_log_prob(cons)
         if log_f == -math.inf:
             skipped += 1

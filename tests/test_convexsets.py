@@ -56,21 +56,19 @@ def test_gauge_subadditive_ball(y, z, r):
 
 def test_membership_is_strict_at_the_boundary():
     nbhd = ConvexNbhd((0.0,), BoxShape((0.5,)))
-    assert nbhd.contains((0.49999,))
-    assert not nbhd.contains((0.5,))
-    assert not nbhd.contains((0.7,))
+    assert nbhd.member_mask([(0.49999,), (0.5,), (0.7,)]).tolist() == [
+        True, False, False]
 
 
 def test_shrink_scales_the_open_set():
     # dyadic values keep the boundary arithmetic exact
     nbhd = ConvexNbhd((1.0,), BoxShape((0.5,)), shrink=0.5)
     # effective radius 0.25 around center 1.0
-    assert nbhd.contains((1.24,))
-    assert not nbhd.contains((1.25,))
+    assert nbhd.member_mask([(1.24,), (1.25,)]).tolist() == [True, False]
     again = nbhd.shrunk(0.75)
     assert again.shrink == 0.75
-    assert not again.contains((1.1875,))
-    assert again.contains((1.0625,))
+    assert again.member_mask([(1.1875,), (1.0625,)]).tolist() == [
+        False, True]
 
 
 def test_member_mask_agrees_with_pointwise_contains():
@@ -78,7 +76,9 @@ def test_member_mask_agrees_with_pointwise_contains():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.5, 1.5, size=(50, 2))
     mask = nbhd.member_mask(pts)
-    assert list(mask) == [nbhd.contains(tuple(p)) for p in pts]
+    # pointwise: the scalar gauge of p - center against 1
+    assert list(mask) == [gauge(nbhd.shape, p - np.asarray(nbhd.center)) < 1.0
+                          for p in pts]
 
 
 def test_support_inf_matches_dense_minimum():

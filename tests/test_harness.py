@@ -6,6 +6,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,6 +463,28 @@ def test_cli_malformed_inputs_exit_three(tmp_path, command, text, fragment):
     code, _, err = run_cli([command, "--config", str(path)])
     assert code == 3
     assert "configuration error" in err and fragment in err
+
+
+@pytest.mark.parametrize("config", ["rademacher", "doeblin"])
+@pytest.mark.parametrize("command", ["pressure", "verify", "entropy"])
+def test_cli_monte_carlo_pipelines_repeat_byte_for_byte(tmp_path, config,
+                                                        command):
+    # the shipped config with 500 samples (4000 shipped) keeps the suite short
+    shipped = Path(__file__).resolve().parent.parent / "configs"
+    path = tmp_path / f"{config}.ini"
+    path.write_text((shipped / f"{config}.ini").read_text().replace(
+        "[run]\n", "[run]\nsamples = 500\n", 1))
+    argv = [command, "--config", str(path), "--mode", "mc",
+            "--out", str(tmp_path / "out")]
+    runs = []
+    for _ in range(2):
+        code, out, err = run_cli(argv)
+        assert code in (0, 1, 2), err
+        written = [line[len("wrote "):] for line in out.splitlines()
+                   if line.startswith("wrote ")]
+        assert written
+        runs.append({name: Path(name).read_bytes() for name in written})
+    assert runs[0] == runs[1]
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

@@ -1,6 +1,8 @@
 """Field models: exact laws against combinatorial and enumerative oracles."""
 
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from ldplab import (BudgetExceededError, ValueSpace, affine_image,
                     conditioned, iid_field, make_box, markov_field,
-                    product_of_marginals, sample, scalarize)
+                    product_of_marginals, sample, sample_sums, scalarize)
 
 from conftest import DOEBLIN_P, fresh_biased3, fresh_doeblin, fresh_rademacher
 from oracles import (conditioned_box_sum_law, dict_sum_law, iid_sum_law,
@@ -341,7 +343,87 @@ def test_sampling_is_deterministic_in_the_seed():
         c = sample(model, box, 43)
         assert a == b
         assert set(a) == {(i,) for i in range(12)}
-        assert any(a[k] != c[k] for k in a) or a == c
+        assert a != c
+        # a Generator is used as given: the same stream, the same draw
+        assert sample(model, box, np.random.default_rng(42)) == a
+
+
+def within_bernstein(hits, samples, p, delta=1e-9):
+    """Bernstein bound on a Binomial(samples, p) count at confidence delta."""
+    L = math.log(2.0 / delta)
+    return abs(hits - samples * p) <= (
+        math.sqrt(2.0 * samples * p * (1.0 - p) * L) + 2.0 * L / 3.0)
+
+
+# zero weights at the front of a start law and at the end of a kernel row
+SAMPLED_KINDS = dict(KINDS, **{
+    "markov-zero-start": (lambda: chain3([0.0, 0.5, 0.5]), None, None, 1),
+    "conditioned-chain-tail": (lambda: conditioned(chain4(), 3, [0, 1]),
+                               None, None, 1),
+})
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLED_KINDS))
+def test_sampled_sums_follow_the_sum_law(kind):
+    make, _, _, dim = SAMPLED_KINDS[kind]
+    model = make()
+    # side 7 ends chain-based blocks of side 3 inside a block
+    n, samples = (3 if dim == 2 else 7), 40_000
+    law = model.sum_law(n)
+    sums = sample_sums(model, make_box((0,) * dim, n, dim), samples,
+                       np.random.default_rng(11))
+    assert sums.shape == (samples, model.k)
+    hits = Counter(map(tuple, np.rint(sums * law.den).astype(int).tolist()))
+    assert set(hits) <= set(law.keys)
+    for key, lp in zip(law.keys, law.logp):
+        assert within_bernstein(hits[key], samples, math.exp(lp)), key
+
+
+def test_block_sampler_crops_unaligned_boxes_to_the_marginals():
+    model = conditioned(chain4(), 3, [0, 1, 3])
+    # sites -5..3: the box starts and ends inside a block
+    box = make_box((-5,), 9, 1)
+    samples = 40_000
+    draws = model.sample_box(box, np.random.default_rng(3), samples)
+    assert draws.shape == (samples, 9)
+    assert set(np.unique(draws)) <= {0, 1, 3}
+    for col, site in enumerate(box.sites()):
+        for atom in (0, 1, 3):
+            p = math.exp(model.cylinder_log_prob({site: frozenset((atom,))}))
+            assert within_bernstein(
+                int(np.count_nonzero(draws[:, col] == atom)), samples, p), \
+                (site, atom)
+
+
+class _TopUniform:
+    """Stands in for a Generator whose uniforms are all just below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_sampler_never_draws_a_zero_weight_atom():
+    # normalized and cumulated, these start weights end at 1 - 2^-52
+    w = np.array([0.2, 1.5, 1.6, 0.0])
+    model = markov_field([F(-1), F(0), F(1), F(2)], CHAIN4, w / w.sum())
+    draws = model.sample_box(make_box((0,), 1, 1), _TopUniform(), 3)
+    assert draws.tolist() == [[2], [2], [2]]
+
+
+def test_sample_sums_temporary_stays_within_the_row_block():
+    model = iid_field([F(-1), F(0), F(1)], [0.2, 0.3, 0.5], dim=2)
+    box = make_box((0, 0), 64, 2)
+    samples = 4000
+    tracemalloc.start()
+    try:
+        sums = sample_sums(model, box, samples, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below a quarter of the (samples x sites) int64 array of one draw
+    assert peak < samples * box.size * 8 / 4
+    assert sums.shape == (samples, 1)
+    assert abs(sums.mean() / box.size - 0.3) < 0.01
 
 
 def test_conditioned_samples_respect_the_conditioning():

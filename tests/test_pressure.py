@@ -249,17 +249,17 @@ def test_pressure_mc_is_deterministic(rademacher):
                                    markov_field([-1, 1], DOEBLIN_P)])
 def test_mc_curve_samples_once_and_equals_per_tilt_calls(model, monkeypatch):
     grid = np.array([-1.5, 0.0, 0.4, 2.0])
-    draws = []
+    rows = []
     sample_box = model.sample_box
 
-    def counting(box, rng):
-        draws.append(box.size)
-        return sample_box(box, rng)
+    def counting(box, rng, samples):
+        rows.append(samples)
+        return sample_box(box, rng, samples)
 
     monkeypatch.setattr(model, "sample_box", counting)
     curve = compute_pressure_curve(model, grid, n=4, mode="mc", samples=300,
                                    seed=5)
-    assert len(draws) == 300
+    assert sum(rows) == 300
     for lam, value, ci in zip(grid, curve.values, curve.ci):
         assert _bits((value,) + tuple(ci)) == _bits(
             pressure_mc(model, 4, lam, samples=300, seed=5))
