@@ -11,10 +11,9 @@ from .config import (ExperimentConfig, config_from_string, default_config,
                      load_config)
 from .conjugate import (GridFunction, MoscoReport, biconjugate,
                         biconjugation_check, default_windows,
-                        fenchel_young_check, lft, lft_at, lft_brute,
-                        mosco_m1_check, mosco_m2_check, order_reversal_check,
-                        read_grid_csv, uniform_properness_check,
-                        write_grid_csv)
+                        fenchel_young_check, lft, lft_at, mosco_m1_check,
+                        mosco_m2_check, order_reversal_check, read_grid_csv,
+                        uniform_properness_check, write_grid_csv)
 from .convexsets import BallShape, BoxShape, ConvexNbhd, gauge
 from .entropy import (EntropyEstimate, chebyshev_upper_check, concavity_check,
                       entropy_estimate, random_convex_event,
@@ -38,7 +37,7 @@ from .pressure import (PressureCurve, block_pressure_identity_check,
                        compute_pressure_curve, pressure_finite,
                        pressure_finite_grid, pressure_limit, pressure_mc,
                        pressure_subadditivity_check, residual_beta_check,
-                       scalar_pressure_curve, write_curve_csv)
+                       write_curve_csv)
 from .reports import (FAIL, INCONCLUSIVE, PASS, SCHEMA_VERSION,
                       VerificationReport, combine_status, status_to_exit,
                       write_report_json)

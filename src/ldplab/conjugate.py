@@ -161,27 +161,6 @@ def lft(fn: GridFunction, target_grids, name: str = "") -> GridFunction:
     return GridFunction(targets, out, name or f"{fn.name}*")
 
 
-def lft_brute(fn: GridFunction, target_grids) -> np.ndarray:
-    """Quadratic-time direct grid supremum; oracle for the fast path."""
-    if fn.k == 1:
-        g = np.asarray(target_grids if not isinstance(target_grids, tuple)
-                       else target_grids[0], dtype=float)
-        cand = np.where(np.isfinite(fn.values)[:, None],
-                        fn.grids[0][:, None] * g[None, :]
-                        - fn.values[:, None], -INF)
-        return cand.max(axis=0)
-    x1, x2 = (np.asarray(g, dtype=float) for g in target_grids)
-    l1, l2 = fn.grids
-    out = np.full((len(x1), len(x2)), -INF)
-    for a, u in enumerate(l1):
-        for b, v in enumerate(l2):
-            if np.isfinite(fn.values[a, b]):
-                cand = (u * x1[:, None] + v * x2[None, :]
-                        - fn.values[a, b])
-                np.maximum(out, cand, out=out)
-    return out
-
-
 def lft_at(fn: GridFunction, points) -> np.ndarray:
     """Conjugate values f*(x) at scattered points (1-D functions only).
 

@@ -7,33 +7,35 @@ indices, sums are tracked on the exact integer lattice generated by the
 atoms (coordinates scaled by a common denominator), and all masses are kept
 in log space.
 
-Model kinds
------------
-IIDField              independent identical sites
-MarkovField           stationary chain on Z (d = 1), strictly positive rows
-BlockField            i.i.d. blocks of side j carrying the base law
-                      restricted to one block, optionally conditioned on a
-                      subset of atoms at every block site
-AffineImageField      sitewise image  sigma -> A sigma - y0  of a base model
+Transfer records
+----------------
+Every exact quantity of a kind is a functional of one tilted transfer
+operator (Dembo & Zeitouni, Large Deviations Techniques and Applications,
+3.1).  Each kind states it once, as a ``Transfer`` record: the atoms a site
+may take (``keep``), the restart weights ``start``, the transition weights
+``T`` on ``keep``, the ``period`` (sites per restart: 1 for independent
+sites, None for a chain, which restarts once) and ``log_norm``, the log mass
+of one restarted segment (0, or the conditioning mass).
 
-BlockField realizes both the plain block-product construction and its
-conditioned variant (keep=None vs an atom index subset).  Block models and
-Markov chains are implemented for lattice dimension 1; IID models (and their
-affine images) also support d = 2.
+================  =======================================================
+IIDField          start = weights, period 1
+MarkovField       start, T, no period
+BlockField        IID base or block side 1: period 1, base start on keep,
+                  log_norm the per-site kept mass; chain base, side j > 1:
+                  base start and T on keep, period j, log_norm = log_mass
+AffineImageField  its base's record, with its own image atoms
+================  =======================================================
 
-Sum laws
---------
-Every exact sum law comes from one recurrence, the tilted transfer
-recurrence of Dembo & Zeitouni (Large Deviations Techniques and
-Applications, 3.1) at zero tilt: a dense log-mass array over (sum lattice x
-chain state) is advanced one site at a time by shifting each atom's slice by
-the atom's key and combining with logaddexp.  The sum lattice is compressed
-by the gcd of the atom-key differences per coordinate.  Each kind only
-states its transfer data: IID sites (and IID-based blocks) restart from the
-atom weights at every site and keep no state; a chain restarts from its
-start law once; chain-based blocks restart every block.  Affine images map
-their base law's keys exactly.  The budget rule lives in the recurrence:
-the stored (sum, state) entries may not exceed ``budget``.
+``FieldModel`` derives from the record the sum law (a dense log-mass array
+over sum lattice x chain state, advanced one site at a time by shift and
+logaddexp on the lattice compressed by the gcd of the atom-key
+differences), cylinder probabilities (one masked forward pass per restart
+segment), the batched sampler, and, in ``pressure.pressure_limit``, the
+limit pressure.  An affine image keeps one rule of its own: its sum law maps
+the base law's keys exactly, on the base's lattice.  Block models and
+Markov chains are implemented for lattice dimension 1; IID models (and
+their affine images) also support d = 2.  The budget rule lives in the
+recurrence: the stored (sum, state) entries may not exceed ``budget``.
 """
 
 import math
@@ -203,11 +205,65 @@ class FiniteLaw:
 
 
 # ---------------------------------------------------------------------------
+# transfer records
+
+
+class Transfer:
+    """One kind's transfer operator: everything the exact computations read.
+
+    ``keep`` lists the atom indices a site may take; ``start`` (one weight
+    per kept atom) restarts a path and ``T`` (square, on ``keep``) moves it
+    one site on.  Each restart covers ``period`` sites: 1 for independent
+    sites (``T`` unused), j for blocks of side j, None for a chain, which
+    restarts once.  ``log_norm`` is the log mass of one restarted segment:
+    0, or with ``conditioned`` the mass the weights leave on ``keep``.
+    """
+
+    def __init__(self, keep, start, T=None, period=1, conditioned=False):
+        self.keep = np.array(keep, dtype=np.intp)
+        self.start = np.asarray(start, dtype=float)
+        self.T = T
+        self.period = period
+        with np.errstate(divide="ignore"):
+            self.log_start = np.log(self.start)
+            self.log_T = None if T is None else np.log(T)
+        self._column = {int(a): c for c, a in enumerate(self.keep)}
+        self._kept = frozenset(self._column)
+        self.log_norm = self.forward(period or 1) if conditioned else 0.0
+
+    def columns(self, allowed) -> list:
+        """Sorted positions in ``keep`` of the allowed atoms it holds."""
+        return sorted(map(self._column.__getitem__,
+                          self._kept.intersection(allowed)))
+
+    def forward(self, length: int, tilt=None, only=None) -> float:
+        """log total weight of the paths over ``length`` sites from one
+        restart: ``start``, then ``T`` per step.  ``tilt`` (log weights on
+        ``keep``) is added at every site; ``only`` maps a site t to the
+        columns it may take."""
+        v = self.log_start
+        for t in range(length):
+            if t:
+                v = logsumexp(v[:, None] + self.log_T, axis=0)
+            if tilt is not None:
+                v = v + tilt
+            if only and t in only:
+                kept = np.full(len(v), NEG_INF)
+                kept[only[t]] = v[only[t]]
+                v = kept
+        return logsumexp(v)
+
+
+# ---------------------------------------------------------------------------
 # base class
 
 
 class FieldModel:
-    """Shared surface of the concrete lattice-field laws."""
+    """Shared surface of the concrete lattice-field laws.
+
+    Each kind's constructor sets ``transfer``, its ``Transfer`` record; the
+    sum law, cylinder probabilities and sampler below are read off it.
+    """
 
     kind = "abstract"
 
@@ -237,7 +293,7 @@ class FieldModel:
         return len(self.atom_fracs)
 
     def support_indices(self):
-        return tuple(range(self.n_atoms))
+        return tuple(self.transfer.keep.tolist())
 
     def allowed_in_scaled(self, shape, t: float):
         """Atom indices with gauge strictly below t (membership in t*V)."""
@@ -245,17 +301,34 @@ class FieldModel:
             i for i in self.support_indices()
             if gauge(shape, self.atoms[i]) < t)
 
-    # interface implemented by subclasses
     def cylinder_log_prob(self, constraints) -> float:
-        raise NotImplementedError
+        """log P(each constrained site takes one of its allowed atoms).
+
+        Independent sites contribute one logsumexp each.  The constrained
+        sites of one restart segment take one masked forward pass: a block
+        runs over its whole block, a chain from its first constrained
+        site, where it starts from ``start``, to its last.
+        """
+        rec = self.transfer
+        items = sorted((_normalize_site(s), rec.columns(a))
+                       for s, a in constraints.items())
+        total = 0.0
+        if rec.period == 1:
+            for _, cols in items:
+                total += logsumexp(rec.log_start[cols]) - rec.log_norm
+            return total
+        segments = {}
+        for (x, *_), cols in items:
+            first = items[0][0][0] if rec.period is None else \
+                x - x % rec.period
+            segments.setdefault(first, {})[x - first] = cols
+        for cons in segments.values():
+            length = rec.period or max(cons) + 1
+            total += rec.forward(length, only=cons) - rec.log_norm
+        return total
 
     def sum_law(self, n: int) -> FiniteLaw:
-        raise NotImplementedError
-
-    def sample_box(self, box: Box, rng, samples: int) -> np.ndarray:
-        """(samples, box.size) atom indices of independent draws on the box,
-        columns in ``box.sites()`` order."""
-        raise NotImplementedError
+        return self._memo(n, lambda: self._transfer_law(n ** self.dim))
 
     def _memo(self, n: int, build) -> FiniteLaw:
         """The per-n sum-law cache every kind shares; build() on a miss."""
@@ -266,22 +339,28 @@ class FieldModel:
             law = self._laws[n] = build()
         return law
 
-    def _transfer_law(self, count: int, keys, start, log_T=None,
-                      period: int = 1, tail=None, shift: float = 0.0):
-        """Exact law of the sum of ``count`` sites, by the transfer recurrence.
+    def _transfer_law(self, count: int) -> FiniteLaw:
+        """Exact law of the sum of ``count`` sites, by the transfer
+        recurrence of the record.
 
-        ``keys`` are the integer keys of the atoms that can occur, in the
-        order of the columns of ``start`` (log weights) and of the square
-        ``log_T`` (log transition weights).  Sites t with t % period == 0
-        restart: the chain state is summed out and ``start`` applied; the
-        other sites apply ``log_T``.  With period 1 no chain state is kept.
-        ``tail`` (log weights of the last state) is added at the end, the
-        states are summed out, and ``shift`` is subtracted from every mass.
-        Position i of the dense array stands for the key t*lo + step*i after
-        t sites, per coordinate.  Sums of zero mass are not in the support.
-        A step whose array would hold more than ``budget`` (sum, state)
-        entries raises BudgetExceededError before it allocates.
+        Sites t with t % period == 0 restart: the chain state is summed out
+        and ``start`` applied; the other sites apply ``T``.  With period 1
+        no chain state is kept.  A partial last segment of s sites is
+        weighted by the mass of the period - s sites that would complete it,
+        and every segment's ``log_norm`` is subtracted.  Position i of the
+        dense array stands for the key t*lo + step*i after t sites, per
+        coordinate.  Sums of zero mass are not in the support.  A step whose
+        array would hold more than ``budget`` (sum, state) entries raises
+        BudgetExceededError before it allocates.
         """
+        rec = self.transfer
+        keys = [self.atom_keys[i] for i in rec.keep]
+        period = rec.period or count
+        s = count % period
+        tail = np.zeros(len(keys)) if s else None
+        for _ in range(period - s if s else 0):
+            tail = logsumexp(rec.log_T + tail[None, :], axis=1)
+        shift = -(-count // period) * rec.log_norm
         k = len(keys[0])
         lo = [min(key[c] for key in keys) for c in range(k)]
         step = [math.gcd(*(key[c] - lo[c] for key in keys)) or 1
@@ -299,9 +378,11 @@ class FieldModel:
                     f"{states} entries at site {t + 1}, over budget "
                     f"{self.budget}")
             if t % period == 0:
-                emit = np.logaddexp.reduce(mass, axis=-1)[..., None] + start
+                emit = (np.logaddexp.reduce(mass, axis=-1)[..., None]
+                        + rec.log_start)
             else:
-                emit = np.logaddexp.reduce(mass[..., None] + log_T, axis=-2)
+                emit = np.logaddexp.reduce(mass[..., None] + rec.log_T,
+                                           axis=-2)
             new = np.full(shape + (states,), NEG_INF)
             for b, off in enumerate(offsets):
                 cell = new[tuple(slice(o, o + m)
@@ -319,6 +400,25 @@ class FieldModel:
                      for pos in np.argwhere(support).tolist())
         return FiniteLaw(sums, self.den, total[support], count)
 
+    def sample_box(self, box: Box, rng, samples: int) -> np.ndarray:
+        """(samples, box.size) atom indices of independent draws on the box,
+        columns in ``box.sites()`` order.
+
+        Independent sites take one ``rng.choice``.  Chains and blocks draw
+        whole restart segments with ``_chain_paths`` and crop them to the
+        box; a chain's one segment starts at the box's left edge, as its
+        sum law does.
+        """
+        rec = self.transfer
+        if rec.period == 1:
+            p = rec.start / math.exp(rec.log_norm)
+            return rec.keep[rng.choice(len(p), size=(samples, box.size), p=p)]
+        j = rec.period or box.side
+        skip = box.corner[0] % j if rec.period else 0
+        segments = -(-(skip + box.side) // j)
+        paths = _chain_paths(rng, samples * segments, j, rec.start, rec.T)
+        return rec.keep[paths.reshape(samples, -1)[:, skip:skip + box.side]]
+
     def local_control_certificate(self, shape) -> LocalControlParams:
         """Covering certificate: t just above the largest atom gauge, alpha 1.
 
@@ -328,9 +428,6 @@ class FieldModel:
         gmax = max(gauge(shape, self.atoms[i]) for i in self.support_indices())
         t = gmax * (1.0 + 1e-9) + 1e-12
         return LocalControlParams(t=t, alpha=1.0)
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
 
 def _normalize_site(site):
@@ -360,25 +457,13 @@ class IIDField(FieldModel):
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         self.weights = w / w.sum()
-        self.log_w = np.log(self.weights)
-        # the same law as a chain whose rows all equal the weights (a view)
-        self.start = self.weights
-        self.transition = np.broadcast_to(self.weights, (self.n_atoms,) * 2)
+        self.transfer = Transfer(range(self.n_atoms), self.weights)
+        self.log_w = self.transfer.log_start
 
-    def cylinder_log_prob(self, constraints) -> float:
-        total = 0.0
-        for _, allowed in sorted(
-                (( _normalize_site(s), a) for s, a in constraints.items())):
-            total += logsumexp(self.log_w[sorted(allowed)])
-        return total
-
-    def sum_law(self, n: int) -> FiniteLaw:
-        return self._memo(n, lambda: self._transfer_law(
-            n ** self.dim, self.atom_keys, self.log_w))
-
-    def sample_box(self, box: Box, rng, samples: int) -> np.ndarray:
-        return rng.choice(self.n_atoms, size=(samples, box.size),
-                          p=self.weights)
+    # named here too, so that a tracer wrapping vars(cls) finds them
+    sum_law = FieldModel.sum_law
+    cylinder_log_prob = FieldModel.cylinder_log_prob
+    sample_box = FieldModel.sample_box
 
     def describe(self) -> str:
         return f"iid(atoms={self.n_atoms},k={self.k},d={self.dim})"
@@ -458,47 +543,19 @@ class MarkovField(FieldModel):
                          DecouplingParams(ParamTable.constant(1.0),
                                           ParamTable.constant(delta_cost)),
                          budget)
-        self.stationary_start = start is None
         self.start = (_stationary_distribution(self.transition)
                       if start is None else np.asarray(start, dtype=float))
         if abs(self.start.sum() - 1.0) > 1e-9 or np.any(self.start < 0):
             raise ValueError("start distribution must be a probability vector")
-        with np.errstate(divide="ignore"):
-            self.log_T = np.log(self.transition)
-            self.log_start = np.log(self.start)
+        self.transfer = Transfer(range(A), self.start, self.transition,
+                                 period=None)
+        self.log_start = self.transfer.log_start
+        self.log_T = self.transfer.log_T
 
-    def _log_matvec(self, v: np.ndarray) -> np.ndarray:
-        """One chain step in log space: v'(b) = logsumexp_a v(a) + log P(a,b)."""
-        return logsumexp(v[:, None] + self.log_T, axis=0)
-
-    def cylinder_log_prob(self, constraints) -> float:
-        items = sorted((_normalize_site(s)[0], frozenset(a))
-                       for s, a in constraints.items())
-        if not items:
-            return 0.0
-        masks = []
-        for _, allowed in items:
-            m = np.full(self.n_atoms, NEG_INF)
-            m[sorted(allowed)] = 0.0
-            masks.append(m)
-        v = self.log_start + masks[0]
-        prev = items[0][0]
-        for (site, _), mask in zip(items[1:], masks[1:]):
-            for _ in range(site - prev):
-                v = self._log_matvec(v)
-            v = v + mask
-            prev = site
-        return logsumexp(v)
-
-    def sum_law(self, n: int) -> FiniteLaw:
-        # one restart from the start law: the box is a single block
-        return self._memo(n, lambda: self._transfer_law(
-            n, self.atom_keys, self.log_start, self.log_T, period=n))
-
-    def sample_box(self, box: Box, rng, samples: int) -> np.ndarray:
-        # anchored at the box's left edge, as the sum law is
-        return _chain_paths(rng, samples, box.side, self.start,
-                            self.transition)
+    # named here too, so that a tracer wrapping vars(cls) finds them
+    sum_law = FieldModel.sum_law
+    cylinder_log_prob = FieldModel.cylinder_log_prob
+    sample_box = FieldModel.sample_box
 
     def describe(self) -> str:
         return f"markov(atoms={self.n_atoms},delta={self.doeblin_delta:.3g})"
@@ -517,6 +574,9 @@ class BlockField(FieldModel):
     set; the conditioning event must have positive mass.  The law is
     invariant under translations by j, and the claimed decoupling and
     local-control certificates of the base are carried over unchanged.
+    Blocks of independent sites, or of side 1, are independent sites on
+    the kept atoms; ``log_mass`` is the log mass of the conditioning event
+    on one block either way.
     """
 
     kind = "block"
@@ -542,119 +602,33 @@ class BlockField(FieldModel):
             if keep == set(range(base.n_atoms)):
                 keep = None  # conditioning on everything is no conditioning
         self.keep = keep
-        self._keep_list = (sorted(keep) if keep is not None
-                           else list(range(base.n_atoms)))
-        self.log_mass = self._block_mass()
+        kept = sorted(keep) if keep is not None else list(range(base.n_atoms))
+        src = base.transfer
+        if block == 1 or src.period == 1:
+            self.transfer = Transfer(kept, src.start[kept],
+                                     conditioned=self.conditioned)
+            self.log_mass = block * self.transfer.log_norm
+        else:
+            self.transfer = Transfer(kept, src.start[kept],
+                                     src.T[np.ix_(kept, kept)], period=block,
+                                     conditioned=self.conditioned)
+            self.log_mass = self.transfer.log_norm
         if self.log_mass == NEG_INF:
             raise ModelError("conditioning event has zero mass")
-
-    def support_indices(self):
-        return tuple(self._keep_list)
 
     @property
     def conditioned(self) -> bool:
         return self.keep is not None
 
-    def _keep_mask_log(self) -> np.ndarray:
-        m = np.full(self.n_atoms, NEG_INF)
-        m[self._keep_list] = 0.0
-        return m
-
-    def _block_mass(self) -> float:
-        if self.keep is None:
-            return 0.0
-        if isinstance(self.base, IIDField):
-            nu = logsumexp(self.base.log_w[self._keep_list])
-            return self.block * nu
-        masks = [self._keep_mask_log()] * self.block
-        return self._weighted_block_logsum(masks)
-
-    def _weighted_block_logsum(self, log_weights) -> float:
-        """log sum over block paths of start * transitions * per-site weights."""
-        base = self.base
-        v = base.log_start + log_weights[0]
-        for w in log_weights[1:]:
-            v = logsumexp(v[:, None] + base.log_T, axis=0) + w
-        return logsumexp(v)
-
-    def block_cylinder_log_prob(self, pos_constraints) -> float:
-        """Conditional probability of per-position constraints in one block."""
-        if isinstance(self.base, IIDField):
-            total = 0.0
-            nu = logsumexp(self.base.log_w[self._keep_list])
-            for pos, allowed in sorted(pos_constraints.items()):
-                inter = sorted(set(allowed) & set(self._keep_list))
-                total += logsumexp(self.base.log_w[inter]) - nu
-            return total
-        masks = []
-        for pos in range(self.block):
-            allowed = pos_constraints.get(pos)
-            if allowed is None:
-                idx = self._keep_list
-            else:
-                idx = sorted(set(allowed) & set(self._keep_list))
-            m = np.full(self.n_atoms, NEG_INF)
-            m[idx] = 0.0
-            masks.append(m)
-        return self._weighted_block_logsum(masks) - self.log_mass
-
-    def cylinder_log_prob(self, constraints) -> float:
-        per_block = {}
-        for site, allowed in constraints.items():
-            x = _normalize_site(site)[0]
-            b, pos = divmod(x, self.block)
-            per_block.setdefault(b, {})[pos] = allowed
-        return sum(self.block_cylinder_log_prob(c)
-                   for _, c in sorted(per_block.items()))
-
-    def sum_law(self, n: int) -> FiniteLaw:
-        def build():
-            keep = self._keep_list
-            keys = [self.atom_keys[i] for i in keep]
-            if isinstance(self.base, IIDField):
-                log_w = self.base.log_w[keep]
-                return self._transfer_law(n, keys, log_w - logsumexp(log_w))
-            log_T = self.base.log_T[np.ix_(keep, keep)]
-            # a partial last block of s sites is weighted by the probability
-            # that its remaining block - s sites stay in the keep set
-            s = n % self.block
-            tail = np.zeros(len(keep)) if s else None
-            for _ in range(self.block - s if s else 0):
-                tail = logsumexp(log_T + tail[None, :], axis=1)
-            blocks = -(-n // self.block)
-            return self._transfer_law(
-                n, keys, self.base.log_start[keep], log_T, period=self.block,
-                tail=tail, shift=blocks * self.log_mass)
-        return self._memo(n, build)
-
-    def block_log_mgf(self, lam) -> float:
-        """log E[exp<lam, block sum>] for one conditioned block."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        tilts = self.atoms @ lam
-        if isinstance(self.base, IIDField):
-            per_site = logsumexp(self.base.log_w[self._keep_list]
-                                 + tilts[self._keep_list])
-            nu = logsumexp(self.base.log_w[self._keep_list])
-            return self.block * (per_site - nu)
-        mask = self._keep_mask_log()
-        weights = [mask + tilts] * self.block
-        return self._weighted_block_logsum(weights) - self.log_mass
-
-    def sample_box(self, box: Box, rng, samples: int) -> np.ndarray:
-        """Whole blocks drawn as base-chain paths that stay in the keep set,
-        then cropped to the box."""
-        keep = np.exp(self._keep_mask_log())
-        first = box.corner[0] // self.block
-        blocks = (box.corner[0] + box.side - 1) // self.block - first + 1
-        paths = _chain_paths(rng, samples * blocks, self.block,
-                             self.base.start * keep,
-                             self.base.transition * keep)
-        skip = box.corner[0] - first * self.block
-        return paths.reshape(samples, -1)[:, skip:skip + box.side]
+    # named here too, so that a tracer wrapping vars(cls) finds them
+    sum_law = FieldModel.sum_law
+    cylinder_log_prob = FieldModel.cylinder_log_prob
+    sample_box = FieldModel.sample_box
 
     def describe(self) -> str:
         tag = "conditioned" if self.conditioned else "product"
-        extra = f",|K|={len(self._keep_list)}" if self.conditioned else ""
+        extra = (f",|K|={len(self.transfer.keep)}" if self.conditioned
+                 else "")
         return f"{tag}(base={self.base.kind},j={self.block}{extra})"
 
 
@@ -665,10 +639,10 @@ class BlockField(FieldModel):
 class AffineImageField(FieldModel):
     """Sitewise affine image  sigma -> A sigma - y0  of a base model.
 
-    The atom index structure is untouched, so cylinder probabilities and
-    sampling delegate to the base; only the value geometry changes.  The
-    claimed decoupling certificate is inherited unchanged.  Image atoms may
-    collide when A is not injective on the base atoms; laws merge masses.
+    The atom index structure is untouched, so the transfer record is the
+    base's; only the value geometry changes.  The claimed decoupling
+    certificate is inherited unchanged.  Image atoms may collide when A is
+    not injective on the base atoms; laws merge masses.
     """
 
     kind = "affine"
@@ -701,6 +675,7 @@ class AffineImageField(FieldModel):
         # image atoms may collide, so the space skips the distinctness check
         super().__init__(ValueSpace(tuple(new_points), labels), base.dim,
                          base.invariance_step, base.decoupling, base.budget)
+        self.transfer = base.transfer
 
     @property
     def budget(self) -> int:
@@ -711,13 +686,10 @@ class AffineImageField(FieldModel):
     def budget(self, value: int):
         self.base.budget = value
 
-    def support_indices(self):
-        return self.base.support_indices()
-
-    def cylinder_log_prob(self, constraints) -> float:
-        return self.base.cylinder_log_prob(constraints)
-
     def sum_law(self, n: int) -> FiniteLaw:
+        """The base law with its keys mapped exactly.  A recurrence on the
+        image keys would need a lattice as fine as the image's
+        denominator; the base's lattice stays coarse."""
         def build():
             base_law = self.base.sum_law(n)
             count = base_law.count
@@ -740,8 +712,9 @@ class AffineImageField(FieldModel):
                              count)
         return self._memo(n, build)
 
-    def sample_box(self, box: Box, rng, samples: int) -> np.ndarray:
-        return self.base.sample_box(box, rng, samples)
+    # named here too, so that a tracer wrapping vars(cls) finds them
+    cylinder_log_prob = FieldModel.cylinder_log_prob
+    sample_box = FieldModel.sample_box
 
     def local_control_certificate(self, shape, rule: str = "canonical"):
         """Covering certificate, or the composed linear+offset pushforward rule.

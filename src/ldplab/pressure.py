@@ -5,10 +5,9 @@ The pressure of a model at tilt lam over the side-n box is
     (1 / n^d) log E[ exp <lam, sum of site values> ],
 
 computed exactly from the model's sum law in log space.  Limit pressures
-use the closed form for each model kind (atomwise for IID, Perron root of
-the tilted transfer matrix for chains, per-block moment generating
-function for block models, base pressure at the pulled-back tilt for
-affine images).  At lam = 0 every pressure is exactly 0 and the code
+are read off the model's transfer record (one site's log moment for
+independent sites, the Perron root of the tilted transfer matrix for
+chains, one block's log moment for blocks).  At lam = 0 every pressure is exactly 0 and the code
 returns that value without touching floating point sums.
 """
 
@@ -20,8 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .lattice import make_box, tile
-from .models import (DEFAULT_LAW_BUDGET, AffineImageField, BlockField,
-                     FieldModel, IIDField, MarkovField, sample_sums, scalarize)
+from .models import DEFAULT_LAW_BUDGET, FieldModel, sample_sums, scalarize
 from .numerics import logsumexp, pairings
 from .reports import VerificationReport
 
@@ -157,23 +155,25 @@ def _perron_log_root(M: np.ndarray, rel_tol: float = 1e-12,
 
 
 def pressure_limit(model: FieldModel, lam) -> float:
-    """Infinite-volume pressure, exact per model kind."""
+    """Infinite-volume pressure, exact, from the model's transfer record.
+
+    Period 1: the log moment of one site; a chain: the log Perron root of
+    T e^tilt; period j: one forward pass over j sites, divided by j.  The
+    tilt pairs lam with the model's own atoms, so an affine image, which
+    shares its base's record, needs no rule of its own.
+    """
     v = _as_tilt(model, lam)
     if not np.any(v):
         return 0.0
-    if isinstance(model, IIDField):
-        return float(logsumexp(model.log_w + model.atoms @ v))
-    if isinstance(model, MarkovField):
-        tilt = model.atoms @ v
+    rec = model.transfer
+    tilt = (model.atoms @ v)[rec.keep]
+    if rec.period == 1:
+        return float(logsumexp(rec.log_start + tilt)) - rec.log_norm
+    if rec.period is None:
         shift = float(np.max(tilt))
-        M = model.transition * np.exp(tilt - shift)[None, :]
+        M = rec.T * np.exp(tilt - shift)[None, :]
         return _perron_log_root(M) + shift
-    if isinstance(model, BlockField):
-        return model.block_log_mgf(v) / model.block
-    if isinstance(model, AffineImageField):
-        pulled = model.matrix.T @ v
-        return pressure_limit(model.base, pulled) - float(model.offset @ v)
-    raise TypeError(f"no limit pressure rule for {type(model).__name__}")
+    return (rec.forward(rec.period, tilt) - rec.log_norm) / rec.period
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def write_curve_csv(path, curve: PressureCurve):
 # structural checks
 
 
-def block_pressure_identity_check(model: BlockField, lam_grid, *,
+def block_pressure_identity_check(model: FieldModel, lam_grid, *,
                                   j=None, ks=(2, 3),
                                   tolerance: float = 1e-10) -> VerificationReport:
     """Pressure over k*j sites equals pressure over j sites for block models."""
@@ -382,7 +382,3 @@ def residual_beta_check(model: FieldModel, sites=None, t=None, alpha=None, *,
         "residual-beta", slacks, tolerance, details=details,
         inconclusive=not slacks)
 
-
-def scalar_pressure_curve(model: FieldModel, direction, lam_grid, **kw):
-    """Pressure of the scalar field <direction, sigma> along a 1-D grid."""
-    return compute_pressure_curve(scalarize(model, direction), lam_grid, **kw)

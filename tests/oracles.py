@@ -110,6 +110,64 @@ def markov_cylinder_prob(P, start, constraints: dict, n: int) -> float:
     return total
 
 
+def cylinder_prob(model, constraints) -> float:
+    """P(every constrained site takes one of its allowed atoms), enumerated.
+
+    Reads only plain parameters: weights, transition, start, block, keep,
+    and an affine image's base (the map leaves the atom indices alone).
+    IID sites multiply their allowed weights.  A chain starts from
+    ``start`` at its first constrained site; the allowed atoms of the
+    constrained sites are enumerated and joined by powers of the transition
+    matrix.  A block model enumerates every atom path of each block it
+    touches and divides the allowed paths' weight by the weight of the
+    paths that stay in ``keep``.
+    """
+    if model.kind == "affine":
+        return cylinder_prob(model.base, constraints)
+    items = sorted(((s,) if isinstance(s, int) else tuple(s), sorted(a))
+                   for s, a in constraints.items())
+    if model.kind == "iid":
+        p = 1.0
+        for _, allowed in items:
+            p *= sum(model.weights[a] for a in allowed)
+        return p
+    if model.kind == "markov":
+        if not items:
+            return 1.0
+        P = np.asarray(model.transition)
+        sites = [x for (x,), _ in items]
+        steps = [np.linalg.matrix_power(P, b - a)
+                 for a, b in zip(sites, sites[1:])]
+        total = 0.0
+        for path in itertools.product(*[allowed for _, allowed in items]):
+            p = model.start[path[0]]
+            for M, u, v in zip(steps, path, path[1:]):
+                p *= M[u, v]
+            total += p
+        return total
+    if model.kind == "block":
+        base, j = model.base, model.block
+        keep = set(range(model.n_atoms)) if model.keep is None else model.keep
+        blocks = {}
+        for (x,), allowed in items:
+            blocks.setdefault(x // j, {})[x % j] = set(allowed)
+        p = 1.0
+        for cons in blocks.values():
+            hit = kept = 0.0
+            for path in itertools.product(sorted(keep), repeat=j):
+                if base.kind == "iid":
+                    w = math.prod(base.weights[a] for a in path)
+                else:
+                    w = base.start[path[0]] * math.prod(
+                        base.transition[u][v] for u, v in zip(path, path[1:]))
+                kept += w
+                if all(path[pos] in allowed for pos, allowed in cons.items()):
+                    hit += w
+            p *= hit / kept
+        return p
+    raise ValueError(f"no cylinder oracle for kind {model.kind!r}")
+
+
 def stationary_2x2(P):
     """pi = (P[1][0], P[0][1]) / (P[1][0] + P[0][1])."""
     denom = P[1][0] + P[0][1]
@@ -336,6 +394,28 @@ def conjugate_brute(lams, vals, xs):
     return np.array(out)
 
 
+def lft_brute(fn, target_grids) -> np.ndarray:
+    """Quadratic-time direct grid supremum of a GridFunction's conjugate;
+    oracle for the package's hull-and-pointer ``lft``."""
+    if fn.k == 1:
+        g = np.asarray(target_grids if not isinstance(target_grids, tuple)
+                       else target_grids[0], dtype=float)
+        cand = np.where(np.isfinite(fn.values)[:, None],
+                        fn.grids[0][:, None] * g[None, :]
+                        - fn.values[:, None], -math.inf)
+        return cand.max(axis=0)
+    x1, x2 = (np.asarray(g, dtype=float) for g in target_grids)
+    l1, l2 = fn.grids
+    out = np.full((len(x1), len(x2)), -math.inf)
+    for a, u in enumerate(l1):
+        for b, v in enumerate(l2):
+            if np.isfinite(fn.values[a, b]):
+                cand = (u * x1[:, None] + v * x2[None, :]
+                        - fn.values[a, b])
+                np.maximum(out, cand, out=out)
+    return out
+
+
 def gauge_bisect(contains_unit, y, hi: float = 1e9, iters: int = 200) -> float:
     """inf{t > 0 : y in t*V} by bisection on a unit-set membership oracle."""
     if all(abs(c) == 0.0 for c in np.atleast_1d(y)):
@@ -381,13 +461,12 @@ def recount_tiling(n, m, g, ell, dim, sub_boxes, margin):
 
 
 def _site_set_distance(a, b):
+    """Smallest sup-norm distance over every pair of sites, one from each
+    box: the sites are listed and all pairs compared by broadcasting."""
     (ca, sa), (cb, sb) = a, b
-    best = None
-    for p in itertools.product(*[range(c, c + sa) for c in ca]):
-        for qq in itertools.product(*[range(c, c + sb) for c in cb]):
-            d = max(abs(u - v) for u, v in zip(p, qq))
-            best = d if best is None else min(best, d)
-    return best
+    p = np.array(list(itertools.product(*[range(c, c + sa) for c in ca])))
+    q = np.array(list(itertools.product(*[range(c, c + sb) for c in cb])))
+    return int(np.abs(p[:, None, :] - q[None, :, :]).max(axis=2).min())
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ import pytest
 
 from ldplab import (GridFunction, ImproperFunctionError, biconjugate,
                     biconjugation_check, default_windows, fenchel_young_check,
-                    lft, lft_at, lft_brute, mosco_m1_check, mosco_m2_check,
+                    lft, lft_at, mosco_m1_check, mosco_m2_check,
                     order_reversal_check, read_grid_csv,
                     uniform_properness_check, write_grid_csv)
 
-from oracles import conjugate_brute
+from oracles import conjugate_brute, lft_brute
 
 
 def logcosh_fn(lo=-5.0, hi=5.0, points=201):

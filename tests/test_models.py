@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from ldplab import (BudgetExceededError, ValueSpace, affine_image,
                     conditioned, iid_field, make_box, markov_field,
-                    product_of_marginals, sample, sample_sums, scalarize)
+                    pressure_finite, pressure_limit, product_of_marginals,
+                    sample, sample_sums, scalarize)
 
 from conftest import DOEBLIN_P, fresh_biased3, fresh_doeblin, fresh_rademacher
-from oracles import (conditioned_box_sum_law, dict_sum_law, iid_sum_law,
+from oracles import (conditioned_box_sum_law, cylinder_prob, dict_sum_law,
+                     iid_sum_law,
                      markov_path_law, multinomial_three_atom_law,
                      rademacher_sum_law, stationary_2x2)
 
@@ -330,6 +332,52 @@ def test_budget_raises_at_the_first_volume_over_it(kind):
         model.sum_law(n0 + 1)
 
 
+def random_cylinder(rng, model):
+    """Up to 8 constrained sites around the origin (negative ones too, and
+    off any block boundary), each allowing a random non-empty atom set."""
+    if model.dim == 1:
+        sites = [(x,) for x in range(-7, 8)]
+    else:
+        sites = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    pick = rng.choice(len(sites), size=int(rng.integers(1, 9)), replace=False)
+    return {sites[i]: frozenset(rng.choice(
+        model.n_atoms, size=int(rng.integers(1, model.n_atoms + 1)),
+        replace=False).tolist()) for i in pick}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_cylinder_probability_matches_enumeration(kind):
+    model = KINDS[kind][0]()
+    rng = np.random.default_rng(sorted(KINDS).index(kind))
+    events = [random_cylinder(rng, model) for _ in range(40)]
+    got = [math.exp(model.cylinder_log_prob(c)) for c in events]
+    want = [cylinder_prob(model, c) for c in events]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert model.cylinder_log_prob({}) == 0.0
+
+
+LIMIT_TILTS = np.linspace(-3.0, 3.0, 21)
+
+
+@pytest.mark.parametrize("kind", sorted(
+    kind for kind in KINDS if KINDS[kind][0]().kind == "block"))
+def test_block_limit_pressure_is_the_one_block_pressure(kind):
+    model = KINDS[kind][0]()
+    got = [pressure_limit(model, lam) for lam in LIMIT_TILTS]
+    want = [pressure_finite(model, model.block, lam) for lam in LIMIT_TILTS]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["affine", "scalarize-planar"])
+def test_affine_limit_pressure_pulls_the_tilt_back(kind):
+    model = KINDS[kind][0]()
+    for lam in LIMIT_TILTS:
+        v = np.array([lam])
+        want = (pressure_limit(model.base, model.matrix.T @ v)
+                - float(model.offset @ v))
+        assert pressure_limit(model, lam) == pytest.approx(want, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # sampling and validation
 
@@ -393,6 +441,21 @@ def test_block_sampler_crops_unaligned_boxes_to_the_marginals():
             assert within_bernstein(
                 int(np.count_nonzero(draws[:, col] == atom)), samples, p), \
                 (site, atom)
+
+
+def test_chain_sampler_starts_at_the_box_left_edge():
+    model = chain3([0.6, 0.3, 0.1])
+    # sites -5..3: the chain starts from ``start`` at site -5, not at 0
+    box = make_box((-5,), 9, 1)
+    samples = 40_000
+    draws = model.sample_box(box, np.random.default_rng(4), samples)
+    marginal = np.array([0.6, 0.3, 0.1])
+    for col in range(box.size):
+        for atom in range(3):
+            assert within_bernstein(
+                int(np.count_nonzero(draws[:, col] == atom)), samples,
+                marginal[atom]), (col, atom)
+        marginal = marginal @ np.array(CHAIN3)
 
 
 class _TopUniform:

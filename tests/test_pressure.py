@@ -13,7 +13,7 @@ from ldplab import (PressureCurve, block_pressure_identity_check,
                     markov_field, pressure_finite, pressure_finite_grid,
                     pressure_limit, pressure_mc, pressure_subadditivity_check,
                     product_of_marginals, read_grid_csv, residual_beta_check,
-                    scalar_pressure_curve, scalarize, tile, write_curve_csv)
+                    scalarize, tile, write_curve_csv)
 from ldplab import pressure as pressure_module
 
 from conftest import DOEBLIN_P, fresh_doeblin, fresh_rademacher
@@ -314,7 +314,7 @@ def test_scalar_pressure_curve_projects_planar_fields():
                         (Fraction(1), Fraction(0)),
                         (Fraction(0), Fraction(1))], [0.5, 0.25, 0.25])
     grid = np.linspace(-1.0, 1.0, 9)
-    curve = scalar_pressure_curve(planar, (1.0, 2.0), grid)
+    curve = compute_pressure_curve(scalarize(planar, (1.0, 2.0)), grid)
     proj = scalarize(planar, (1.0, 2.0))
     for lam, val in zip(grid, curve.values):
         assert val == pressure_limit(proj, lam)
