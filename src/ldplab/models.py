@@ -14,8 +14,9 @@ operator (Dembo & Zeitouni, Large Deviations Techniques and Applications,
 3.1).  Each kind states it once, as a ``Transfer`` record: the atoms a site
 may take (``keep``), the restart weights ``start``, the transition weights
 ``T`` on ``keep``, the ``period`` (sites per restart: 1 for independent
-sites, None for a chain, which restarts once) and ``log_norm``, the log mass
-of one restarted segment (0, or the conditioning mass).
+sites, j for chain-based blocks of side j, None for a chain, which restarts
+once) and ``log_norm``, the log mass of one restarted segment (0, or the
+conditioning mass).
 
 ================  =======================================================
 IIDField          start = weights, period 1
@@ -574,9 +575,9 @@ class BlockField(FieldModel):
     set; the conditioning event must have positive mass.  The law is
     invariant under translations by j, and the claimed decoupling and
     local-control certificates of the base are carried over unchanged.
-    Blocks of independent sites, or of side 1, are independent sites on
-    the kept atoms; ``log_mass`` is the log mass of the conditioning event
-    on one block either way.
+    Blocks over an IID base, or of side 1, are independent sites on the
+    kept atoms; ``log_mass`` is the log mass of the conditioning event on
+    one block either way.
     """
 
     kind = "block"
@@ -603,7 +604,7 @@ class BlockField(FieldModel):
                 keep = None  # conditioning on everything is no conditioning
         self.keep = keep
         kept = sorted(keep) if keep is not None else list(range(base.n_atoms))
-        src = base.transfer
+        src = base.transfer       # keeps every atom: columns are indices
         if block == 1 or src.period == 1:
             self.transfer = Transfer(kept, src.start[kept],
                                      conditioned=self.conditioned)

@@ -7,8 +7,9 @@ The pressure of a model at tilt lam over the side-n box is
 computed exactly from the model's sum law in log space.  Limit pressures
 are read off the model's transfer record (one site's log moment for
 independent sites, the Perron root of the tilted transfer matrix for
-chains, one block's log moment for blocks).  At lam = 0 every pressure is exactly 0 and the code
-returns that value without touching floating point sums.
+chains, one block's log moment for blocks).  At lam = 0 every pressure
+is exactly 0 and the code returns that value without touching floating
+point sums.
 """
 
 import csv
